@@ -332,11 +332,7 @@ func matrixCell(mode string, p *lang.Program, opts model.RunOpts) string {
 	rr, err := model.Run(mode, p, opts)
 	switch {
 	case err == nil:
-		mark := "✗"
-		if rr.Robust {
-			mark = "✓"
-		}
-		return fmt.Sprintf("%s %d", mark, rr.States)
+		return model.Cell(rr)
 	case errors.Is(err, core.ErrStateBound) || errors.Is(err, staterobust.ErrBound):
 		return "bound"
 	case errors.Is(err, core.ErrCanceled) || errors.Is(err, staterobust.ErrCanceled):

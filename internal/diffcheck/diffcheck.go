@@ -46,7 +46,9 @@
 //     unchanged, in both directions.
 //   - Witness replay: a non-robust verdict must come with a trace that
 //     actually replays — under instrumented SC for the SCM route, under
-//     the timestamp machine for the RA route (see staterobust.ReplayWitness).
+//     the timestamp machine for the RA route (see staterobust.ReplayWitness),
+//     under the lazy single-delayer machine for the instrumented TSO route
+//     (model.ReplayTSO).
 //   - Syntax: Parse∘Format is a fixpoint and preserves the canonical
 //     digest, so the pretty-printer can never corrupt a program.
 //
@@ -492,6 +494,15 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 			r.addf("tso-vs-state-tso", src, "instrumented TSO robust=%v, exhaustive TSO robust=%v", inst.Robust, exh.Robust)
 		case exh.Robust && inst.Explored > exh.Explored:
 			r.addf("tso-vs-state-tso", src, "instrumented exploration (%d states) exceeds the exhaustive product (%d) on a robust program", inst.Explored, exh.Explored)
+		}
+		if instOK && !inst.Robust {
+			if err := model.ReplayTSO(p, inst.WitnessTrace, tsoLim); err != nil {
+				if errors.Is(err, staterobust.ErrBound) {
+					r.skip("witness-replay-tso")
+				} else {
+					r.addf("witness-replay-tso", src, "instrumented-TSO witness does not replay: %v", err)
+				}
+			}
 		}
 	}
 

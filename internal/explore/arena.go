@@ -12,7 +12,7 @@ package explore
 // handful of states each — while large runs still amortize to one
 // allocation per 64 KiB.
 const (
-	arenaMinBlock = 1 << 10
+	arenaMinBlock = 1 << 8
 	arenaMaxBlock = 64 << 10
 )
 

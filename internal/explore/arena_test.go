@@ -188,3 +188,39 @@ func TestShardedHashCompactDedup(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", s.Len(), n)
 	}
 }
+
+// smallKeys are 200 distinct state-sized keys: the interning load of a
+// litmus-sized verdict.
+func smallKeys() [][]byte {
+	keys := make([][]byte, 200)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("%032d", i))
+	}
+	return keys
+}
+
+// BenchmarkStoreSmall and BenchmarkShardedSmall measure a store's fixed
+// cost: set-up plus 200 interns. Every state-robustness verdict builds
+// several sharded stores, so on sub-millisecond rows this set-up is a
+// visible share of the verdict.
+func BenchmarkStoreSmall(b *testing.B) {
+	keys := smallKeys()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := explore.NewStore()
+		for _, k := range keys {
+			s.AddBytes(k, -1, explore.Step{})
+		}
+	}
+}
+
+func BenchmarkShardedSmall(b *testing.B) {
+	keys := smallKeys()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := explore.NewSharded(false)
+		for _, k := range keys {
+			s.Add(k, -1, explore.Step{})
+		}
+	}
+}

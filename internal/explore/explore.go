@@ -1,8 +1,9 @@
 // Package explore provides the explicit-state search infrastructure shared
 // by the repository's model checkers: visited-state stores with parent
 // links for counterexample reconstruction (sequential and sharded/
-// concurrent, exact and hash-compacted), a FIFO frontier, and a
-// work-sharing parallel search engine. It plays the role Spin plays for
+// concurrent, exact and hash-compacted), a concurrent key set, a FIFO
+// frontier, and two parallel search engines: work-sharing (RunParallel)
+// and level-synchronous (RunLevels). It plays the role Spin plays for
 // the paper's Rocker prototype — exhaustive exploration of a finite LTS
 // with trace reporting — without Spin's Promela front end, which this
 // repository replaces with direct in-process state generation, and with

@@ -47,12 +47,12 @@ func RunParallel[T any](workers int, roots []Item[T], expand Expand[T]) bool {
 	return RunParallelOpts(workers, roots, expand, RunOpts{})
 }
 
-// RunOpts extends RunParallel with cooperative cancellation and a progress
-// hook. The zero value is RunParallel's behaviour.
+// RunOpts extends RunParallel and RunLevels with cooperative cancellation
+// and a progress hook. The zero value is RunParallel's behaviour.
 type RunOpts struct {
 	// Ctx, when non-nil, cancels the search cooperatively: workers observe
-	// the cancellation between frontier batches, so at most
-	// workers·batchSize further items are expanded after it fires. A
+	// the cancellation between frontier batches (RunLevels: chunks), so at
+	// most workers·batchSize further items are expanded after it fires. A
 	// cancelled run returns false, exactly like an Expand-initiated cancel;
 	// the caller distinguishes the two by inspecting Ctx.Err itself.
 	Ctx context.Context

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"bytes"
 	"sync"
 	"sync/atomic"
 )
@@ -20,7 +19,7 @@ const (
 // digest selects one of 64 independently-locked shards, each an exact
 // open-addressing table over an append-only key arena (or a hash-compacted
 // map) plus per-state parent/step trace links. It is the concurrent
-// counterpart of Store, used by RunParallel-based explorers; ids are int64
+// counterpart of Store, used by the parallel explorers; ids are int64
 // (packed shard + local index) rather than Store's dense int32s. Like
 // Store's exact mode, steady-state interning performs no per-state heap
 // allocation: keys go into per-shard arenas and every table grows
@@ -33,11 +32,8 @@ type Sharded struct {
 
 type shard struct {
 	mu     sync.Mutex
-	hashed map[[2]uint64]int32 // hash-compact mode; nil in exact mode
-	arena  arena
-	refs   []keyRef
-	table  []slot
-	mask   uint64
+	hashed map[[2]uint64]int32 // hash-compact mode; nil until first use
+	keys   keyTable            // exact mode, probed by the second Hash128 lane
 	parent []int64
 	step   []Step
 	// sleep holds per-state thread masks for sleep-set exploration
@@ -45,20 +41,23 @@ type shard struct {
 	sleep []uint64
 }
 
-// shardMinTable is the initial per-shard slot-table size (a power of two);
-// smaller than Store's since the load spreads over 64 shards.
-const shardMinTable = 1 << 6
-
-// NewSharded returns an empty sharded store, exact or hash-compacted.
+// NewSharded returns an empty sharded store, exact or hash-compacted. The
+// exact shards start out in one slab (see slab), the hash-compacted ones
+// allocate their maps on first use, so setting up a store for a run that
+// touches few states is cheap.
 func NewSharded(hashCompact bool) *Sharded {
 	s := &Sharded{hashCompact: hashCompact}
+	if hashCompact {
+		return s
+	}
+	sl := newSlab()
+	parent := make([]int64, numShards*shardKeys)
+	step := make([]Step, numShards*shardKeys)
 	for i := range s.shards {
-		if hashCompact {
-			s.shards[i].hashed = make(map[[2]uint64]int32)
-		} else {
-			s.shards[i].table = make([]slot, shardMinTable)
-			s.shards[i].mask = shardMinTable - 1
-		}
+		sh := &s.shards[i]
+		sl.carve(&sh.keys, i)
+		sh.parent = parent[i*shardKeys : i*shardKeys : (i+1)*shardKeys]
+		sh.step = step[i*shardKeys : i*shardKeys : (i+1)*shardKeys]
 	}
 	return s
 }
@@ -94,30 +93,16 @@ func (s *Sharded) add(key []byte, parent int64, step Step, sleep uint64, useSlee
 			sh.mu.Unlock()
 			return int64(local)<<shardBits | int64(si), false, shrunk
 		}
+		if sh.hashed == nil {
+			sh.hashed = make(map[[2]uint64]int32)
+		}
 		sh.hashed[h] = int32(len(sh.parent))
-	} else {
+	} else if local, isNew := sh.keys.insert(key, h[1]); !isNew {
 		// The second hash lane drives the in-shard probe so that the bits
 		// consumed by shard selection don't degrade the table's spread.
-		i := h[1] & sh.mask
-		for {
-			sl := &sh.table[i]
-			if sl.id == 0 {
-				sh.refs = append(grown(sh.refs), sh.arena.intern(key))
-				sl.h = h[1]
-				sl.id = int32(len(sh.parent)) + 1
-				if uint64(len(sh.refs))*4 > (sh.mask+1)*3 {
-					sh.grow()
-				}
-				break
-			}
-			if sl.h == h[1] && bytes.Equal(sh.arena.bytes(sh.refs[sl.id-1]), key) {
-				local := sl.id - 1
-				shrunk := sh.mergeSleep(local, sleep, useSleep)
-				sh.mu.Unlock()
-				return int64(local)<<shardBits | int64(si), false, shrunk
-			}
-			i = (i + 1) & sh.mask
-		}
+		shrunk := sh.mergeSleep(local, sleep, useSleep)
+		sh.mu.Unlock()
+		return int64(local)<<shardBits | int64(si), false, shrunk
 	}
 	local := int64(len(sh.parent))
 	if useSleep {
@@ -162,22 +147,6 @@ func (s *Sharded) Sleep(id int64) uint64 {
 	return 0
 }
 
-func (sh *shard) grow() {
-	old := sh.table
-	sh.table = make([]slot, len(old)*2)
-	sh.mask = uint64(len(sh.table) - 1)
-	for _, sl := range old {
-		if sl.id == 0 {
-			continue
-		}
-		i := sl.h & sh.mask
-		for sh.table[i].id != 0 {
-			i = (i + 1) & sh.mask
-		}
-		sh.table[i] = sl
-	}
-}
-
 // AppendKey appends the interned encoding of state id to dst and returns
 // the extended slice. Exact mode only (hash-compacted stores keep no
 // keys). Unlike Store.KeyBytes it copies — under the shard lock — rather
@@ -188,7 +157,7 @@ func (sh *shard) grow() {
 func (s *Sharded) AppendKey(dst []byte, id int64) []byte {
 	sh := &s.shards[id&shardMask]
 	sh.mu.Lock()
-	dst = append(dst, sh.arena.bytes(sh.refs[id>>shardBits])...)
+	dst = append(dst, sh.keys.key(int32(id>>shardBits))...)
 	sh.mu.Unlock()
 	return dst
 }
@@ -201,8 +170,8 @@ func (s *Sharded) Len() int { return int(s.count.Load()) }
 // Trace reconstructs the steps from the root to state id by following the
 // recorded parent arcs. Every parent link points at an earlier-interned
 // state, so the walk terminates at the root; the result is a valid run,
-// though not necessarily a shortest one (concurrent exploration does not
-// preserve BFS level order).
+// though not necessarily a shortest one (RunParallel does not preserve BFS
+// level order; under RunLevels every parent is one level up, so it is).
 func (s *Sharded) Trace(id int64) []Step {
 	var rev []Step
 	for id >= 0 {

@@ -1,7 +1,5 @@
 package explore
 
-import "bytes"
-
 // Store interns canonical state encodings, assigning dense ids and
 // recording, for each state, the id of its BFS parent and the step taken
 // from it, so a shortest trace to any stored state can be rebuilt.
@@ -22,13 +20,7 @@ import "bytes"
 // id-only frontier in core.
 type Store struct {
 	hashed map[[2]uint64]int32 // hash-compact mode; nil in exact mode
-
-	// Exact mode: linear-probing table of (digest, id+1) slots; keys live
-	// in the arena, addressed by refs[id].
-	arena arena
-	refs  []keyRef
-	table []slot
-	mask  uint64
+	keys   keyTable            // exact mode, probed by the first Hash128 lane
 
 	parent []int32
 	step   []Step
@@ -38,19 +30,14 @@ type Store struct {
 	sleep []uint64
 }
 
-// slot is one open-addressing table entry: the key's 64-bit probe digest
-// (the first Hash128 lane) and id+1, with 0 marking an empty slot.
-type slot struct {
-	h  uint64
-	id int32
-}
-
 // storeMinTable is the initial slot-table size (a power of two).
 const storeMinTable = 1 << 10
 
 // NewStore returns an empty exact store.
 func NewStore() *Store {
-	return &Store{table: make([]slot, storeMinTable), mask: storeMinTable - 1}
+	s := &Store{}
+	s.keys.init(storeMinTable)
+	return s
 }
 
 // NewHashCompactStore returns an empty hash-compacted store.
@@ -101,26 +88,13 @@ func (s *Store) addBytes(key []byte, parent int32, step Step, sleep uint64, useS
 		s.hashed[h] = id
 		return id, true, false
 	}
-	i := h[0] & s.mask
-	for {
-		sl := &s.table[i]
-		if sl.id == 0 {
-			id := s.push(parent, step)
-			s.setSleep(id, sleep, useSleep)
-			s.refs = append(grown(s.refs), s.arena.intern(key))
-			sl.h = h[0]
-			sl.id = id + 1
-			if uint64(len(s.refs))*4 > (s.mask+1)*3 {
-				s.grow()
-			}
-			return id, true, false
-		}
-		if sl.h == h[0] && bytes.Equal(s.arena.bytes(s.refs[sl.id-1]), key) {
-			id := sl.id - 1
-			return id, false, s.mergeSleep(id, sleep, useSleep)
-		}
-		i = (i + 1) & s.mask
+	id, isNew := s.keys.insert(key, h[0])
+	if !isNew {
+		return id, false, s.mergeSleep(id, sleep, useSleep)
 	}
+	s.push(parent, step)
+	s.setSleep(id, sleep, useSleep)
+	return id, true, false
 }
 
 // ensureSleep grows the sleep slice to cover ids < n with zero masks.
@@ -159,24 +133,6 @@ func (s *Store) Sleep(id int32) uint64 {
 	return 0
 }
 
-// grow doubles the slot table, reinserting by the cached digests (all keys
-// are distinct, so no byte comparisons are needed).
-func (s *Store) grow() {
-	old := s.table
-	s.table = make([]slot, len(old)*2)
-	s.mask = uint64(len(s.table) - 1)
-	for _, sl := range old {
-		if sl.id == 0 {
-			continue
-		}
-		i := sl.h & s.mask
-		for s.table[i].id != 0 {
-			i = (i + 1) & s.mask
-		}
-		s.table[i] = sl
-	}
-}
-
 func (s *Store) push(parent int32, step Step) int32 {
 	id := int32(len(s.parent))
 	s.parent = append(grown(s.parent), parent)
@@ -189,9 +145,7 @@ func (s *Store) push(parent int32, step Step) int32 {
 // stays valid across later Adds and must not be mutated. This is what lets
 // the exact-mode frontier carry bare ids and re-materialize the encoding
 // on expansion instead of keeping a copy per queued state.
-func (s *Store) KeyBytes(id int32) []byte {
-	return s.arena.bytes(s.refs[id])
-}
+func (s *Store) KeyBytes(id int32) []byte { return s.keys.key(id) }
 
 // Len returns the number of stored states.
 func (s *Store) Len() int { return len(s.parent) }

@@ -15,6 +15,7 @@
 package memra
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"repro/internal/lang"
@@ -361,21 +362,61 @@ func (s *State) Canonicalize(gapCap int) {
 	}
 }
 
-// Encode appends a canonical byte encoding of the state to dst. The state
-// should be canonicalized first so that bisimilar states encode equally.
+// Encode appends a canonical byte encoding of the state to dst: the
+// message count, the messages, then the thread views. The state should be
+// canonicalized first so that bisimilar states encode equally.
 func (s *State) Encode(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s.Msgs)))
 	for i := range s.Msgs {
 		m := &s.Msgs[i]
 		dst = append(dst, byte(m.Loc), byte(m.Val), byte(m.T), byte(m.T>>8))
-		for _, t := range m.View {
-			dst = append(dst, byte(t), byte(t>>8))
-		}
+		dst = appendView(dst, m.View)
 	}
-	dst = append(dst, 0xff)
 	for _, v := range s.Views {
-		for _, t := range v {
-			dst = append(dst, byte(t), byte(t>>8))
-		}
+		dst = appendView(dst, v)
 	}
 	return dst
+}
+
+func appendView(dst []byte, v View) []byte {
+	for _, t := range v {
+		dst = append(dst, byte(t), byte(t>>8))
+	}
+	return dst
+}
+
+// Decode overwrites s, which must have the encoded state's numbers of
+// locations and threads (New's shape), from the front of an Encode buffer,
+// reusing its storage as CopyFrom does, and returns the number of bytes
+// consumed.
+func (s *State) Decode(data []byte) int {
+	numLocs := len(s.Views[0])
+	n, pos := binary.Uvarint(data)
+	for len(s.Msgs) < int(n) {
+		if len(s.Msgs) < cap(s.Msgs) {
+			s.Msgs = s.Msgs[:len(s.Msgs)+1]
+		} else {
+			s.Msgs = append(s.Msgs, Msg{})
+		}
+	}
+	s.Msgs = s.Msgs[:n]
+	view := func(v *View) {
+		if len(*v) != numLocs {
+			*v = make(View, numLocs)
+		}
+		for x := range *v {
+			(*v)[x] = Time(data[pos]) | Time(data[pos+1])<<8
+			pos += 2
+		}
+	}
+	for i := range s.Msgs {
+		m := &s.Msgs[i]
+		m.Loc, m.Val, m.T = lang.Loc(data[pos]), lang.Val(data[pos+1]), Time(data[pos+2])|Time(data[pos+3])<<8
+		pos += 4
+		view(&m.View)
+	}
+	for i := range s.Views {
+		view(&s.Views[i])
+	}
+	return pos
 }

@@ -168,3 +168,27 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRoundTrip checks Decode inverts Encode on random reachable
+// states, decoding into a reused state whose message count differs.
+func TestDecodeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	into := memra.New(2, 2)
+	for iter := 0; iter < 200; iter++ {
+		st := memra.New(2, 2)
+		for step := rng.Intn(10); step > 0; step-- {
+			tid := lang.Tid(rng.Intn(2))
+			x := lang.Loc(rng.Intn(2))
+			if slots := st.WriteSlots(tid, x, 5); len(slots) > 0 {
+				st.Write(tid, x, lang.Val(rng.Intn(2)), slots[rng.Intn(len(slots))])
+			}
+		}
+		enc := st.Encode(nil)
+		if n := into.Decode(enc); n != len(enc) {
+			t.Fatalf("iter %d: Decode consumed %d of %d bytes", iter, n, len(enc))
+		}
+		if got := string(into.Encode(nil)); got != string(enc) {
+			t.Fatalf("iter %d: decoded state re-encodes differently", iter)
+		}
+	}
+}

@@ -54,3 +54,12 @@ func (m Memory) Encode(dst []byte) []byte {
 	}
 	return dst
 }
+
+// Decode overwrites m from the front of an Encode buffer and returns the
+// number of bytes consumed.
+func (m Memory) Decode(data []byte) int {
+	for i := range m {
+		m[i] = lang.Val(data[i])
+	}
+	return len(m)
+}

@@ -15,7 +15,11 @@
 // can be certified.
 package memtso
 
-import "repro/internal/lang"
+import (
+	"encoding/binary"
+
+	"repro/internal/lang"
+)
 
 // BufEntry is one pending write in a store buffer.
 type BufEntry struct {
@@ -49,6 +53,18 @@ func (s *State) Clone() *State {
 		c.Bufs[i] = append([]BufEntry(nil), b...)
 	}
 	return c
+}
+
+// CopyFrom overwrites s with o, reusing s's storage — the pooled-scratch
+// counterpart of Clone.
+func (s *State) CopyFrom(o *State) {
+	s.Mem = append(s.Mem[:0], o.Mem...)
+	if len(s.Bufs) != len(o.Bufs) {
+		s.Bufs = make([][]BufEntry, len(o.Bufs))
+	}
+	for i, b := range o.Bufs {
+		s.Bufs[i] = append(s.Bufs[i][:0], b...)
+	}
 }
 
 // Lookup returns the value thread tid reads for x: the newest buffered
@@ -92,21 +108,44 @@ func (s *State) CanFlush(tid lang.Tid) bool { return len(s.Bufs[tid]) > 0 }
 
 // Flush commits tid's oldest buffered write to the global store.
 func (s *State) Flush(tid lang.Tid) {
-	e := s.Bufs[tid][0]
-	s.Bufs[tid] = append([]BufEntry(nil), s.Bufs[tid][1:]...)
-	s.Mem[e.Loc] = e.Val
+	b := s.Bufs[tid]
+	s.Mem[b[0].Loc] = b[0].Val
+	s.Bufs[tid] = b[:copy(b, b[1:])]
 }
 
-// Encode appends a canonical byte encoding of the state to dst.
+// Encode appends a canonical byte encoding of the state to dst: the store,
+// then each buffer as its length followed by its entries.
 func (s *State) Encode(dst []byte) []byte {
 	for _, v := range s.Mem {
 		dst = append(dst, byte(v))
 	}
 	for _, b := range s.Bufs {
-		dst = append(dst, 0xfe)
+		dst = binary.AppendUvarint(dst, uint64(len(b)))
 		for _, e := range b {
 			dst = append(dst, byte(e.Loc), byte(e.Val))
 		}
 	}
 	return dst
+}
+
+// Decode overwrites s, which must have the encoded state's numbers of
+// locations and threads, from the front of an Encode buffer, reusing its
+// storage, and returns the number of bytes consumed.
+func (s *State) Decode(data []byte) int {
+	pos := 0
+	for i := range s.Mem {
+		s.Mem[i] = lang.Val(data[pos])
+		pos++
+	}
+	for t := range s.Bufs {
+		n, k := binary.Uvarint(data[pos:])
+		pos += k
+		b := s.Bufs[t][:0]
+		for ; n > 0; n-- {
+			b = append(b, BufEntry{lang.Loc(data[pos]), lang.Val(data[pos+1])})
+			pos += 2
+		}
+		s.Bufs[t] = b
+	}
+	return pos
 }

@@ -83,3 +83,24 @@ func TestCloneAndEncode(t *testing.T) {
 		t.Error("distinct states encode equally")
 	}
 }
+
+// TestDecodeRoundTrip checks Decode inverts Encode, decoding into a
+// reused state whose buffers have other lengths.
+func TestDecodeRoundTrip(t *testing.T) {
+	into := memtso.New(2, 3)
+	into.Write(2, 0, 1)
+	s := memtso.New(2, 3)
+	s.Write(0, 1, 2)
+	s.Write(0, 0, 1)
+	s.Write(1, 1, 1)
+	s.Flush(1)
+	for _, st := range []*memtso.State{s, memtso.New(2, 3)} {
+		enc := st.Encode(nil)
+		if n := into.Decode(enc); n != len(enc) {
+			t.Fatalf("Decode consumed %d of %d bytes", n, len(enc))
+		}
+		if got := string(into.Encode(nil)); got != string(enc) {
+			t.Fatalf("decoded state re-encodes differently")
+		}
+	}
+}

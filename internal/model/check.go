@@ -1,8 +1,8 @@
 package model
 
 import (
-	"context"
-	"fmt"
+	"bytes"
+	"sync"
 
 	"repro/internal/explore"
 	"repro/internal/lang"
@@ -11,199 +11,160 @@ import (
 )
 
 // This file is the interface's robustness monitor for the state models:
-// a generic sequential explorer of the program × MemoryModel product that
-// compares every reached program-state projection against the
-// SC-reachable set (Definition 2.6). It is the reference implementation
-// the specialized staterobust engines are parity-tested against, and the
-// engine under the instrumented TSO checker (tsoattack.go).
-
-// Mirrors of staterobust's private exploration knobs (the limits type is
-// shared; its helpers are not exported).
-const (
-	ctxPollMask   = 255
-	progressEvery = 4096
-)
-
-func maxStates(lim staterobust.Limits) int {
-	if lim.MaxStates <= 0 {
-		return 4_000_000
-	}
-	return lim.MaxStates
-}
-
-func ctxDone(lim staterobust.Limits) bool {
-	return lim.Ctx != nil && lim.Ctx.Err() != nil
-}
-
-func canceled(lim staterobust.Limits) error {
-	return fmt.Errorf("%w: %w", staterobust.ErrCanceled, context.Cause(lim.Ctx))
-}
+// a level-synchronous parallel explorer of the program × MemoryModel
+// product that compares every reached program-state projection against
+// the SC-reachable set (Definition 2.6). It is the engine under the
+// instrumented TSO checker (tsoattack.go), and the reference the
+// specialized staterobust engines are parity-tested against.
 
 // CheckState decides state robustness of the program against the model:
-// it explores the ε-granular product of the program with mm and reports
-// the first program state not reachable under SC, if any. The Result has
-// staterobust.Result semantics (Explored counts compound states,
-// SCStates/WeakStates count program-state projections, BufBoundHit comes
-// from mm.BoundHit).
+// it explores the ε-granular product of the program with mm (forked once
+// per further worker, see Limits.Workers) and reports a program state not
+// reachable under SC, if any. The Result has staterobust.Result semantics
+// (Explored counts compound states, SCStates/WeakStates count
+// program-state projections, BufBoundHit ORs every worker's
+// mm.BoundHit).
+//
+// The product is explored breadth-first on explore.RunLevels, checking
+// the projection of every newly interned state against
+// staterobust.ReachableSC. A violation ends the search only once its BFS
+// level is fully interned, so Explored, WeakStates, BufBoundHit and the
+// witness length are those of complete levels — independent of worker
+// count and scheduling — and the witness is a shortest one. It ends in
+// the level's smallest violating projection. The state bound applies to
+// the level-complete count too: ErrBound exactly when some explored level
+// ends above it.
+//
+// The frontier carries store ids only: each state is decoded from its
+// key, the raw program state followed by mm's encoding.
 func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (*staterobust.Result, error) {
-	scSet, err := staterobust.ReachableSC(program, lim)
+	sc, err := staterobust.ReachableSC(program, lim)
 	if err != nil {
 		return nil, err
 	}
-	res := &staterobust.Result{Robust: true, SCStates: len(scSet)}
-	weak := map[string]struct{}{}
-	if err := checkAgainst(program, mm, lim, scSet, weak, res); err != nil {
-		return nil, err
-	}
-	res.WeakStates = len(weak)
-	return res, nil
-}
-
-// checkAgainst explores one program × mm product, accumulating into res:
-// Explored grows by this run's compound-state count, Robust/WitnessTrace
-// are set on the first projection outside scSet, BufBoundHit ORs in
-// mm.BoundHit. weak is the shared projection dedup set — callers running
-// several products against one scSet (the attack loop) pass the same map
-// so projections are checked once and WeakStates counts the union. The
-// state bound applies to res.Explored, i.e. across the whole sequence of
-// products, matching the exhaustive checkers' single-store bound.
-func checkAgainst(program *lang.Program, mm MemoryModel, lim staterobust.Limits, scSet, weak map[string]struct{}, res *staterobust.Result) error {
 	p := prog.New(program)
-	type node struct {
-		ps prog.State
-		m  State
+	store := explore.NewSharded(false)
+	weak := explore.NewSet()
+	type worker struct {
+		mm       MemoryModel
+		pj       *staterobust.Projector
+		cur, key []byte
+		ps, nxt  prog.State
+		succs    []Succ
 	}
-	store := explore.NewStore()
-	var queue explore.Queue[node]
-	var buf []byte
-	key := func(ps prog.State, m State) []byte {
-		buf = buf[:0]
-		buf = p.EncodeStateRaw(buf, ps)
-		buf = m.Encode(buf)
-		return buf
-	}
-	var sy *prog.Symmetry
-	if lim.Reduce {
-		sy = prog.NewSymmetry(p)
-	}
-	var symBuf []byte
-	base := res.Explored
-	// check records the projection of a newly interned compound state and
-	// reports whether it witnesses non-robustness.
-	check := func(id int32, ps prog.State) bool {
-		var pk string
-		if sy == nil {
-			pk = p.StateKeyRaw(ps)
-		} else {
-			symBuf = p.EncodeStateRaw(symBuf[:0], ps)
-			pk = string(sy.CanonRaw(symBuf))
+	ws := make([]*worker, lim.WorkerCount())
+	for w := range ws {
+		wm := mm
+		if w > 0 {
+			wm = mm.Fork()
 		}
-		if _, ok := weak[pk]; !ok {
-			weak[pk] = struct{}{}
-			if _, ok := scSet[pk]; !ok {
-				res.Robust = false
-				if res.WitnessTrace == nil {
-					res.WitnessTrace = store.Trace(id)
-				}
-				return true
-			}
-		}
-		return false
+		ws[w] = &worker{mm: wm, pj: staterobust.NewProjector(p, lim), ps: p.InitStateRaw(), nxt: p.InitStateRaw()}
 	}
-	finish := func() {
-		res.Explored = base + store.Len()
-		if mm.BoundHit() {
-			res.BufBoundHit = true
-		}
-	}
+	n := ws[0].pj.Len()
 
-	ps0 := p.InitStateRaw()
-	m0 := mm.Init()
-	root, _ := store.AddBytes(key(ps0, m0), -1, explore.Step{})
-	queue.Push(root, node{ps0, m0})
-	if check(root, ps0) {
-		finish()
-		return nil
+	var (
+		mu        sync.Mutex
+		witness   []byte // smallest violating projection so far
+		witnessID int64
+	)
+	// add interns wk.key, reached from parent by step, and queues it when
+	// new. Program steps (proj) also check the new state's projection; a
+	// memory-internal step keeps its parent's, checked already.
+	add := func(wk *worker, parent int64, step explore.Step, proj bool, push func(int64)) {
+		id, isNew := store.Add(wk.key, parent, step)
+		if !isNew {
+			return
+		}
+		push(id)
+		if !proj {
+			return
+		}
+		pk := wk.pj.Key(wk.key)
+		if _, isNew := weak.Add(pk); !isNew || sc.Has(pk) {
+			return
+		}
+		mu.Lock()
+		if witness == nil || bytes.Compare(pk, witness) < 0 {
+			witness = append(witness[:0], pk...)
+			witnessID = id
+		}
+		mu.Unlock()
 	}
-	var succs []Succ
-	popped := 0
-	for {
-		item, ok := queue.Pop()
-		if !ok {
-			break
+	expand := func(w int, id int64, push func(int64)) bool {
+		if store.Len() > lim.StateBound() {
+			return false // ErrBound below: the count only grows
 		}
-		if base+store.Len() > maxStates(lim) {
-			return staterobust.ErrBound
-		}
-		if popped&ctxPollMask == 0 && ctxDone(lim) {
-			return canceled(lim)
-		}
-		popped++
-		if lim.Progress != nil && popped%progressEvery == 0 {
-			lim.Progress(base + store.Len())
-		}
-		n := item.St
+		wk := ws[w]
+		wk.cur = store.AppendKey(wk.cur[:0], id)
+		p.DecodeState(wk.cur, wk.ps)
+		p.DecodeState(wk.cur, wk.nxt)
+		mem := wk.cur[n:]
+		m := wk.mm.Decode(mem)
 		// Program actions (ε-granular: thread-local steps are their own
 		// transitions, exactly as in staterobust.ReachableSC).
 		for t := range p.Threads {
 			th := &p.Threads[t]
-			ts := n.ps.Threads[t]
+			ts := wk.ps.Threads[t]
 			tid := lang.Tid(t)
-			if th.Terminated(ts) {
+			switch {
+			case th.Terminated(ts):
 				continue
+			case th.AtEps(ts):
+				if th.StepEpsInto(ts, &wk.nxt.Threads[t]) != nil {
+					break // a failed assert has no successors
+				}
+				wk.key = append(p.EncodeStateRaw(wk.key[:0], wk.nxt), mem...)
+				add(wk, id, explore.Step{Tid: tid, Internal: explore.IntEps}, true, push)
+			default:
+				wk.succs = wk.mm.Steps(wk.succs[:0], m, tid, th.Op(ts))
+				for _, s := range wk.succs {
+					wk.mm.Canon(s.M)
+					th.ApplyRawInto(ts, s.Lab, &wk.nxt.Threads[t])
+					wk.key = s.M.Encode(p.EncodeStateRaw(wk.key[:0], wk.nxt))
+					add(wk, id, explore.Step{Tid: tid, Lab: s.Lab}, true, push)
+				}
 			}
-			if th.AtEps(ts) {
-				nextTS, afail := th.StepEps(ts)
-				if afail != nil {
-					continue // a failed assert has no successors
-				}
-				nextPS := n.ps.Clone()
-				nextPS.Threads[t] = nextTS
-				id, isNew := store.AddBytes(key(nextPS, n.m), item.ID,
-					explore.Step{Tid: tid, Internal: explore.IntEps})
-				if isNew {
-					if check(id, nextPS) {
-						finish()
-						return nil
-					}
-					queue.Push(id, node{nextPS, n.m.Clone()})
-				}
-				continue
-			}
-			succs = mm.Steps(succs[:0], n.m, tid, th.Op(ts))
-			for _, sc := range succs {
-				mm.Canon(sc.M)
-				nextPS := n.ps.Clone()
-				nextPS.Threads[t] = th.ApplyRaw(ts, sc.Lab)
-				id, isNew := store.AddBytes(key(nextPS, sc.M), item.ID,
-					explore.Step{Tid: tid, Lab: sc.Lab})
-				if isNew {
-					if check(id, nextPS) {
-						finish()
-						return nil
-					}
-					queue.Push(id, node{nextPS, sc.M})
-				}
+			wk.nxt.Threads[t].PC = ts.PC
+			copy(wk.nxt.Threads[t].Regs, ts.Regs)
+		}
+		// Memory-internal actions.
+		for t := range p.Threads {
+			tid := lang.Tid(t)
+			wk.succs = wk.mm.Internal(wk.succs[:0], m, tid)
+			for _, s := range wk.succs {
+				wk.mm.Canon(s.M)
+				wk.key = s.M.Encode(append(wk.key[:0], wk.cur[:n]...))
+				add(wk, id, explore.Step{Tid: tid, Internal: explore.IntFlush}, false, push)
 			}
 		}
-		// Memory-internal actions (the program state is unchanged, so its
-		// projection has already been checked).
-		for t := 0; t < program.NumThreads(); t++ {
-			tid := lang.Tid(t)
-			succs = mm.Internal(succs[:0], n.m, tid)
-			for _, sc := range succs {
-				mm.Canon(sc.M)
-				id, isNew := store.AddBytes(key(n.ps, sc.M), item.ID,
-					explore.Step{Tid: tid, Internal: explore.IntFlush})
-				if isNew {
-					queue.Push(id, node{n.ps.Clone(), sc.M})
-				}
-			}
-		}
+		return true
 	}
-	if ctxDone(lim) {
-		return canceled(lim)
+
+	wk := ws[0]
+	wk.key = mm.Init().Encode(p.EncodeStateRaw(nil, wk.nxt))
+	var root int64
+	add(wk, -1, explore.Step{}, true, func(id int64) { root = id })
+	if witness == nil {
+		more := func() bool { return witness == nil }
+		explore.RunLevels(len(ws), []int64{root}, expand, more, lim.RunOpts(store.Len))
 	}
-	finish()
-	return nil
+	if err := lim.Err(); err != nil {
+		return nil, err
+	}
+	if store.Len() > lim.StateBound() {
+		return nil, staterobust.ErrBound
+	}
+	res := &staterobust.Result{
+		Robust:     witness == nil,
+		SCStates:   sc.Len(),
+		WeakStates: weak.Len(),
+		Explored:   store.Len(),
+	}
+	for _, wk := range ws {
+		res.BufBoundHit = res.BufBoundHit || wk.mm.BoundHit()
+	}
+	if witness != nil {
+		res.WitnessTrace = store.Trace(witnessID)
+	}
+	return res, nil
 }

@@ -22,12 +22,15 @@
 //     internal/core and are dispatched by the registry (registry.go), not
 //     through this interface.
 //
-// The specialized engines remain the production paths for the modes they
-// already serve (they carry the pooled-scratch and parallel machinery);
-// the adapters here are their interface-driven reference, pinned equal by
-// parity tests. The one production user of the interface is the
-// polynomial instrumented TSO checker (tsoattack.go), whose single-delayer
-// machines are TSO adapter instances with a restricted delayer set.
+// CheckState (check.go) is the one product explorer behind the interface:
+// a level-synchronous parallel BFS on the sharded arena store, one model
+// instance (Fork) per worker, with every state decoded from its key. The
+// specialized staterobust engines remain the production paths for the
+// state-ra, state-sra and state-tso modes; the adapters here are pinned
+// equal to them by parity tests. The production user of the interface is
+// the polynomial instrumented TSO checker (tsoattack.go), whose
+// single-delayer machines are TSO adapter instances with a restricted
+// delayer set.
 package model
 
 import (
@@ -49,23 +52,27 @@ type State interface {
 	Encode(dst []byte) []byte
 }
 
-// Succ is one successor produced by a model: the new memory state (owned
-// by the caller — models must not retain or alias it) and the label the
-// program observes. Internal transitions (Internal) carry no label.
+// Succ is one successor produced by a model: the new memory state and the
+// label the program observes. Internal transitions (Internal) carry no
+// label. The state may be scratch of the model instance, valid until its
+// next Steps or Internal call; Clone it to keep it.
 type Succ struct {
 	M   State
 	Lab lang.Label
 }
 
 // MemoryModel is one operational memory subsystem. Implementations keep
-// per-instance scratch buffers, so a model value must not be shared
-// between concurrent explorations; Canon may mutate its argument in
-// place.
+// per-instance scratch buffers, so an instance must not be shared between
+// goroutines — Fork gives each worker its own; Canon may mutate its
+// argument in place.
 type MemoryModel interface {
 	// Name returns the model's short name ("sc", "ra", "sra", "tso").
 	Name() string
 	// Init returns the initial memory state.
 	Init() State
+	// Decode returns the state that data, one Encode output, describes.
+	// The result is scratch of the instance, valid until its next Decode.
+	Decode(data []byte) State
 	// Steps appends every successor of m under thread tid executing op:
 	// for each way the memory can serve the operation, the mutated state
 	// and the observed label. An operation the memory cannot serve (a
@@ -82,6 +89,9 @@ type MemoryModel interface {
 	// store-buffer capacity) ever inhibited a transition; if false, the
 	// bound provably did not limit the exploration.
 	BoundHit() bool
+	// Fork returns a fresh instance of the same machine, with scratch of
+	// its own and BoundHit false, for another concurrent worker.
+	Fork() MemoryModel
 }
 
 // ---------------------------------------------------------------- SC ----
@@ -94,6 +104,7 @@ func (s *scState) Encode(d []byte) []byte { return s.m.Encode(d) }
 type scModel struct {
 	numLocs  int
 	valCount int
+	cur      *scState
 }
 
 // NewSC returns the SC memory (memsc) as a MemoryModel.
@@ -103,6 +114,14 @@ func NewSC(program *lang.Program) MemoryModel {
 
 func (mm *scModel) Name() string { return "sc" }
 func (mm *scModel) Init() State  { return &scState{memsc.New(mm.numLocs)} }
+
+func (mm *scModel) Decode(d []byte) State {
+	if mm.cur == nil {
+		mm.cur = &scState{memsc.New(mm.numLocs)}
+	}
+	mm.cur.m.Decode(d)
+	return mm.cur
+}
 
 func (mm *scModel) Steps(dst []Succ, ms State, tid lang.Tid, op prog.MemOp) []Succ {
 	m := ms.(*scState).m
@@ -118,6 +137,7 @@ func (mm *scModel) Steps(dst []Succ, ms State, tid lang.Tid, op prog.MemOp) []Su
 func (mm *scModel) Internal(dst []Succ, ms State, tid lang.Tid) []Succ { return dst }
 func (mm *scModel) Canon(State)                                        {}
 func (mm *scModel) BoundHit() bool                                     { return false }
+func (mm *scModel) Fork() MemoryModel                                  { return &scModel{numLocs: mm.numLocs, valCount: mm.valCount} }
 
 // --------------------------------------------------------------- TSO ----
 
@@ -140,6 +160,9 @@ type tsoModel struct {
 	// x86-TSO machine: every thread buffers every write.
 	lazySet  []bool
 	boundHit bool
+	// cur is Decode's scratch, next the one successor a Steps or
+	// Internal call yields (the machine is deterministic per operation).
+	cur, next *tsoState
 }
 
 // NewTSO returns the full x86-TSO machine (memtso) as a MemoryModel.
@@ -177,6 +200,29 @@ func newTSO(program *lang.Program, bufCap int, lazySet []bool) MemoryModel {
 func (mm *tsoModel) Name() string { return "tso" }
 func (mm *tsoModel) Init() State  { return &tsoState{memtso.New(mm.numLocs, mm.numThreads)} }
 
+func (mm *tsoModel) Decode(d []byte) State {
+	if mm.cur == nil {
+		mm.cur = &tsoState{memtso.New(mm.numLocs, mm.numThreads)}
+	}
+	mm.cur.m.Decode(d)
+	return mm.cur
+}
+
+func (mm *tsoModel) Fork() MemoryModel {
+	c := *mm
+	c.boundHit, c.cur, c.next = false, nil, nil
+	return &c
+}
+
+// succ returns the scratch successor, holding a copy of m.
+func (mm *tsoModel) succ(m *memtso.State) *tsoState {
+	if mm.next == nil {
+		mm.next = &tsoState{memtso.New(mm.numLocs, mm.numThreads)}
+	}
+	mm.next.m.CopyFrom(m)
+	return mm.next
+}
+
 // mayDelay reports whether tid's next write enters its buffer (versus
 // writing through): always under the full machine; under the lazy
 // machine, iff tid's episode is already open or tid may open one and no
@@ -208,24 +254,24 @@ func (mm *tsoModel) Steps(dst []Succ, ms State, tid lang.Tid, op prog.MemOp) []S
 				mm.boundHit = true
 				return dst
 			}
-			nm := m.Clone()
-			nm.Write(tid, op.Loc, op.WVal)
-			return append(dst, Succ{M: &tsoState{nm}, Lab: lang.WriteLab(op.Loc, op.WVal)})
+			nm := mm.succ(m)
+			nm.m.Write(tid, op.Loc, op.WVal)
+			return append(dst, Succ{M: nm, Lab: lang.WriteLab(op.Loc, op.WVal)})
 		}
 		// Write-through: commit to the store immediately. The thread's
 		// buffer is empty, so this is write+flush fused; the buffered
 		// variant of the same state is reachable anyway when the thread
 		// may delay (buffer then flush), so the branch loses no states.
-		nm := m.Clone()
-		nm.Mem[op.Loc] = op.WVal
-		return append(dst, Succ{M: &tsoState{nm}, Lab: lang.WriteLab(op.Loc, op.WVal)})
+		nm := mm.succ(m)
+		nm.m.Mem[op.Loc] = op.WVal
+		return append(dst, Succ{M: nm, Lab: lang.WriteLab(op.Loc, op.WVal)})
 	case prog.OpRead:
-		return append(dst, Succ{M: &tsoState{m.Clone()}, Lab: lang.ReadLab(op.Loc, m.Lookup(tid, op.Loc))})
+		return append(dst, Succ{M: mm.succ(m), Lab: lang.ReadLab(op.Loc, m.Lookup(tid, op.Loc))})
 	case prog.OpWait:
 		if m.Lookup(tid, op.Loc) != op.WVal {
 			return dst
 		}
-		return append(dst, Succ{M: &tsoState{m.Clone()}, Lab: lang.ReadLab(op.Loc, op.WVal)})
+		return append(dst, Succ{M: mm.succ(m), Lab: lang.ReadLab(op.Loc, op.WVal)})
 	default:
 		// Locked RMW instructions require an empty buffer and act on the
 		// global store (which is what makes the paper's FADD-encoded
@@ -237,11 +283,11 @@ func (mm *tsoModel) Steps(dst []Succ, ms State, tid lang.Tid, op prog.MemOp) []S
 		if !enabled {
 			return dst
 		}
-		nm := m.Clone()
+		nm := mm.succ(m)
 		if label.Typ == lang.LRMW {
-			nm.RMW(tid, label.Loc, label.VR, label.VW)
+			nm.m.RMW(tid, label.Loc, label.VR, label.VW)
 		}
-		return append(dst, Succ{M: &tsoState{nm}, Lab: label})
+		return append(dst, Succ{M: nm, Lab: label})
 	}
 }
 
@@ -250,9 +296,9 @@ func (mm *tsoModel) Internal(dst []Succ, ms State, tid lang.Tid) []Succ {
 	if !m.CanFlush(tid) {
 		return dst
 	}
-	nm := m.Clone()
-	nm.Flush(tid)
-	return append(dst, Succ{M: &tsoState{nm}})
+	nm := mm.succ(m)
+	nm.m.Flush(tid)
+	return append(dst, Succ{M: nm})
 }
 
 func (mm *tsoModel) Canon(State)    {}
@@ -272,6 +318,7 @@ type raModel struct {
 	headroom, gapCap    int
 	cands               []memra.Msg
 	slots               []memra.Time
+	cur                 *raState
 }
 
 // NewRA returns the §3 release/acquire timestamp machine (memra) as a
@@ -309,6 +356,20 @@ func (mm *raModel) Name() string {
 }
 
 func (mm *raModel) Init() State { return &raState{memra.New(mm.numLocs, mm.numThreads)} }
+
+func (mm *raModel) Decode(d []byte) State {
+	if mm.cur == nil {
+		mm.cur = &raState{memra.New(mm.numLocs, mm.numThreads)}
+	}
+	mm.cur.m.Decode(d)
+	return mm.cur
+}
+
+func (mm *raModel) Fork() MemoryModel {
+	c := *mm
+	c.cands, c.slots, c.cur = nil, nil, nil
+	return &c
+}
 
 // Steps mirrors staterobust.checkWeakRA's candidate enumeration exactly
 // (Figure 2 semantics): write slots (SRA: the single maximal slot), read

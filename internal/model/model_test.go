@@ -12,7 +12,7 @@ import (
 // every buffer live) must reproduce staterobust.CheckTSO exactly — same
 // verdict, same compound-state count, same projection counts — because
 // both explore the same ε-granular product under the same state encoding.
-// This is what licenses using checkAgainst as the engine beneath the
+// This is what licenses using CheckState as the engine beneath the
 // instrumented checker.
 func TestTSOAdapterParity(t *testing.T) {
 	rows := []string{"barrier", "spinlock", "dekker-tso", "lamport2-tso", "dekker-sc", "peterson-sc"}

@@ -132,9 +132,13 @@ type RunResult struct {
 	// SCStates/WeakStates are the program-state projection counts of the
 	// state modes (0 otherwise).
 	SCStates, WeakStates int
-	AssertFail           string
-	TraceLen             int
-	Elapsed              time.Duration
+	// BufBoundHit reports that the TSO store-buffer capacity inhibited a
+	// write somewhere in the exploration (tso and state-tso; OR'd across
+	// workers): the verdict is then only as good as that capacity.
+	BufBoundHit bool
+	AssertFail  string
+	TraceLen    int
+	Elapsed     time.Duration
 }
 
 // Run answers one mode's question about one program — the uniform entry
@@ -190,12 +194,28 @@ func Run(mode string, program *lang.Program, o RunOpts) (*RunResult, error) {
 		return nil, err
 	}
 	return &RunResult{
-		Mode:       mode,
-		Robust:     r.Robust,
-		States:     r.Explored,
-		SCStates:   r.SCStates,
-		WeakStates: r.WeakStates,
-		TraceLen:   len(r.WitnessTrace),
-		Elapsed:    time.Since(start),
+		Mode:        mode,
+		Robust:      r.Robust,
+		States:      r.Explored,
+		SCStates:    r.SCStates,
+		WeakStates:  r.WeakStates,
+		BufBoundHit: r.BufBoundHit,
+		TraceLen:    len(r.WitnessTrace),
+		Elapsed:     time.Since(start),
 	}, nil
+}
+
+// Cell renders a matrix cell: ✓ or ✗, the explored-state count, and
+// "bufcap" when the TSO buffer capacity inhibited a write — the verdict
+// then holds only up to that capacity, which the tables must not hide.
+func Cell(rr *RunResult) string {
+	mark := "✗"
+	if rr.Robust {
+		mark = "✓"
+	}
+	cell := fmt.Sprintf("%s %d", mark, rr.States)
+	if rr.BufBoundHit {
+		cell += " bufcap"
+	}
+	return cell
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/litmus"
+	"repro/internal/parser"
 	"repro/internal/staterobust"
 )
 
@@ -87,6 +88,43 @@ func TestCheckRejectsGraphModes(t *testing.T) {
 	for _, mode := range []string{ModeRA, ModeSRA, ModeSC, "bogus"} {
 		if _, err := Check(mode, e.Program(), staterobust.Limits{}); err == nil {
 			t.Errorf("Check(%s): want error", mode)
+		}
+	}
+}
+
+// TestRunReportsBufBoundHit: a thread that buffers two stores before its
+// load cannot do so with a one-entry buffer; Run must say the verdict was
+// truncated by the capacity, in both TSO modes, and not with the default
+// capacity.
+func TestRunReportsBufBoundHit(t *testing.T) {
+	p, err := parser.Parse(`
+program two-stores
+vals 2
+locs x y
+thread t1
+  x := 1
+  y := 1
+  a := y
+end
+thread t2
+  b := x
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{ModeTSO, ModeStateTSO} {
+		for _, bufCap := range []int{1, 0} {
+			rr, err := Run(mode, p, RunOpts{TSOBufCap: bufCap, Workers: 2})
+			if err != nil {
+				t.Fatalf("%s cap=%d: %v", mode, bufCap, err)
+			}
+			if want := bufCap == 1; rr.BufBoundHit != want {
+				t.Errorf("%s cap=%d: BufBoundHit = %v, want %v", mode, bufCap, rr.BufBoundHit, want)
+			}
+			if want := bufCap == 1; strings.HasSuffix(Cell(rr), " bufcap") != want {
+				t.Errorf("%s cap=%d: cell %q", mode, bufCap, Cell(rr))
+			}
 		}
 	}
 }

@@ -1,7 +1,11 @@
 package model
 
 import (
+	"fmt"
+
+	"repro/internal/explore"
 	"repro/internal/lang"
+	"repro/internal/prog"
 	"repro/internal/staterobust"
 )
 
@@ -36,27 +40,25 @@ import (
 // reaches a state with two live buffers. DelayerCandidates shrinks it
 // further by never letting a thread that could not possibly profit from
 // delaying open an episode.
+//
+// Both phases — the SC backbone (staterobust.ReachableSC) and the lazy
+// product (CheckState) — are level-synchronous parallel explorations
+// on lim.Workers workers, so every count this returns, and the length of
+// its witness, is independent of the worker count even on non-robust
+// programs.
 func CheckTSO(program *lang.Program, lim staterobust.Limits) (*staterobust.Result, error) {
-	scSet, err := staterobust.ReachableSC(program, lim)
+	cands := DelayerCandidates(program)
+	if len(cands) > 0 {
+		return CheckState(program, NewTSOLazy(program, lim.TSOBufCap, cands), lim)
+	}
+	// No thread can profit from delaying: with every buffer pinned empty
+	// the lazy machine is the SC machine, so the program is robust with no
+	// weak exploration at all (Explored and WeakStates stay 0).
+	sc, err := staterobust.ReachableSC(program, lim)
 	if err != nil {
 		return nil, err
 	}
-	res := &staterobust.Result{Robust: true, SCStates: len(scSet)}
-	cands := DelayerCandidates(program)
-	if len(cands) == 0 {
-		// No thread can profit from delaying: with every buffer pinned
-		// empty the lazy machine is the SC machine, so the program is
-		// robust with no weak exploration at all (Explored and WeakStates
-		// stay 0).
-		return res, nil
-	}
-	weak := map[string]struct{}{}
-	mm := NewTSOLazy(program, lim.TSOBufCap, cands)
-	if err := checkAgainst(program, mm, lim, scSet, weak, res); err != nil {
-		return nil, err
-	}
-	res.WeakStates = len(weak)
-	return res, nil
+	return &staterobust.Result{Robust: true, SCStates: sc.Len()}, nil
 }
 
 // DelayerCandidates returns the threads worth letting open a delay
@@ -88,4 +90,70 @@ func DelayerCandidates(program *lang.Program) []lang.Tid {
 		}
 	}
 	return out
+}
+
+// ReplayTSO validates a WitnessTrace returned by CheckTSO: the trace must
+// be a run of the same lazy single-delayer machine — every step enabled,
+// every memory step with the recorded label, every flush on a non-empty
+// buffer — and the program state it ends in must not be SC-reachable.
+// Returns nil when the witness checks out, and ErrBound if the SC
+// exploration needed for the final check exceeds lim. Unlike the RA
+// machine (staterobust.ReplayWitness), the lazy machine is
+// label-deterministic, so the replay follows a single memory state.
+func ReplayTSO(program *lang.Program, trace []explore.Step, lim staterobust.Limits) error {
+	sc, err := staterobust.ReachableSC(program, lim)
+	if err != nil {
+		return err
+	}
+	p := prog.New(program)
+	mm := NewTSOLazy(program, lim.TSOBufCap, DelayerCandidates(program))
+	ps := p.InitStateRaw()
+	m := mm.Init()
+	var succs []Succ
+	for i, st := range trace {
+		t := int(st.Tid)
+		if t >= len(p.Threads) {
+			return fmt.Errorf("step %d: thread %d out of range", i, t)
+		}
+		th := &p.Threads[t]
+		ts := ps.Threads[t]
+		switch st.Internal {
+		case explore.IntFlush:
+			if succs = mm.Internal(succs[:0], m, st.Tid); len(succs) == 0 {
+				return fmt.Errorf("step %d: flush of thread %d's empty buffer", i, t)
+			}
+			m = succs[0].M.Clone()
+		case explore.IntEps:
+			if !th.AtEps(ts) {
+				return fmt.Errorf("step %d: ε step but thread %d is not at a local instruction", i, t)
+			}
+			next, afail := th.StepEps(ts)
+			if afail != nil {
+				return fmt.Errorf("step %d: ε step fails an assertion (such states have no successors)", i)
+			}
+			ps.Threads[t] = next
+		case explore.IntNone:
+			if th.Terminated(ts) || th.AtEps(ts) {
+				return fmt.Errorf("step %d: memory step but thread %d has no memory operation pending", i, t)
+			}
+			succs = mm.Steps(succs[:0], m, st.Tid, th.Op(ts))
+			var next State
+			for _, s := range succs {
+				if s.Lab == st.Lab {
+					next = s.M.Clone()
+				}
+			}
+			if next == nil {
+				return fmt.Errorf("step %d: the lazy TSO machine cannot perform %v on thread %d", i, st.Lab, t)
+			}
+			ps.Threads[t] = th.ApplyRaw(ts, st.Lab)
+			m = next
+		default:
+			return fmt.Errorf("step %d: unexpected internal tag %d in a TSO trace", i, st.Internal)
+		}
+	}
+	if sc.Has(staterobust.NewProjector(p, lim).Key(p.EncodeStateRaw(nil, ps))) {
+		return fmt.Errorf("final program state is SC-reachable — not a robustness witness")
+	}
+	return nil
 }

@@ -1,8 +1,11 @@
 package model
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/explore"
+	"repro/internal/lang"
 	"repro/internal/litmus"
 	"repro/internal/staterobust"
 )
@@ -115,5 +118,106 @@ func TestDelayerCandidates(t *testing.T) {
 	}
 	if got := DelayerCandidates(barrier.Program()); len(got) != 2 {
 		t.Errorf("barrier candidates = %v, want both threads", got)
+	}
+}
+
+// TestTSOWorkerIndependence pins the level-synchronous product: on every
+// corpus row, non-robust ones included, everything Run reports for mode
+// tso — verdict, counts, witness length, buffer-bound flag, or the state
+// bound itself — is the same at 1, 2 and 4 workers.
+func TestTSOWorkerIndependence(t *testing.T) {
+	for _, e := range litmus.All() {
+		if e.Big {
+			continue
+		}
+		switch e.Name {
+		case "seqlock", "rcu", "nbw-w-lr-rl":
+			if testing.Short() {
+				continue
+			}
+		}
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
+			p := e.Program()
+			var ref *RunResult
+			var refErr error
+			for _, w := range []int{1, 2, 4} {
+				rr, err := Run(ModeTSO, p, RunOpts{MaxStates: 2_000_000, Reduce: true, Workers: w})
+				if w == 1 {
+					ref, refErr = rr, err
+					continue
+				}
+				if (err == nil) != (refErr == nil) || (err != nil && !errors.Is(err, staterobust.ErrBound)) {
+					t.Fatalf("workers=%d: err = %v, workers=1: %v", w, err, refErr)
+				}
+				if err != nil {
+					continue
+				}
+				if rr.Robust != ref.Robust || rr.States != ref.States || rr.SCStates != ref.SCStates ||
+					rr.WeakStates != ref.WeakStates || rr.TraceLen != ref.TraceLen || rr.BufBoundHit != ref.BufBoundHit {
+					t.Errorf("workers=%d: %+v, workers=1: %+v", w, *rr, *ref)
+				}
+			}
+		})
+	}
+}
+
+// TestReplayTSOFig7 replays the witness of every non-robust Figure 7 row
+// through the lazy machine, at one and two workers, and checks that a
+// witness cut short of its violating state is rejected.
+func TestReplayTSOFig7(t *testing.T) {
+	n := 0
+	for _, e := range litmus.Fig7() {
+		if e.Big || e.RobustTSO {
+			continue
+		}
+		n++
+		p := e.Program()
+		for _, w := range []int{1, 2} {
+			lim := staterobust.Limits{MaxStates: 2_000_000, Reduce: true, Workers: w}
+			res, err := CheckTSO(p, lim)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", e.Name, w, err)
+			}
+			if res.Robust || len(res.WitnessTrace) == 0 {
+				t.Fatalf("%s workers=%d: no witness (robust=%v)", e.Name, w, res.Robust)
+			}
+			if err := ReplayTSO(p, res.WitnessTrace, lim); err != nil {
+				t.Errorf("%s workers=%d: witness does not replay: %v", e.Name, w, err)
+			}
+			// The witness is a shortest one, so its prefix ends in an
+			// SC-reachable state.
+			if err := ReplayTSO(p, res.WitnessTrace[:len(res.WitnessTrace)-1], lim); err == nil {
+				t.Errorf("%s workers=%d: a witness without its last step replayed", e.Name, w)
+			}
+		}
+	}
+	if n != 7 {
+		t.Errorf("replayed %d non-robust rows, want the 7 of Figure 7", n)
+	}
+}
+
+// TestReplayTSORejectsInfeasible: a label the lazy machine cannot produce
+// (reading a value never written) must fail the replay.
+func TestReplayTSORejectsInfeasible(t *testing.T) {
+	e, err := litmus.Get("dekker-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := e.Program()
+	lim := staterobust.Limits{MaxStates: 2_000_000, Workers: 1}
+	res, err := CheckTSO(p, lim)
+	if err != nil || res.Robust {
+		t.Fatalf("CheckTSO = %v, %v", res, err)
+	}
+	trace := append([]explore.Step(nil), res.WitnessTrace...)
+	for i := range trace {
+		if trace[i].Internal == explore.IntNone && trace[i].Lab.Typ == lang.LRead {
+			trace[i].Lab.VR = lang.Val(p.ValCount - 1 - int(trace[i].Lab.VR))
+			break
+		}
+	}
+	if err := ReplayTSO(p, trace, lim); err == nil {
+		t.Error("a witness with a forged read value replayed")
 	}
 }

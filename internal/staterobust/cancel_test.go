@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/litmus"
+	"repro/internal/model"
 	"repro/internal/staterobust"
 )
 
@@ -30,10 +31,13 @@ func TestCheckPreCanceled(t *testing.T) {
 	if r, err := staterobust.CheckSRA(p, lim); !errors.Is(err, staterobust.ErrCanceled) || r != nil {
 		t.Errorf("CheckSRA = (%v, %v), want ErrCanceled", r, err)
 	}
+	if r, err := model.CheckTSO(p, lim); !errors.Is(err, staterobust.ErrCanceled) || r != nil {
+		t.Errorf("model.CheckTSO = (%v, %v), want ErrCanceled", r, err)
+	}
 }
 
 // TestCheckCancelMidExploration cancels from the progress hook once the
-// weak-model exploration is under way and checks both checkers stop with
+// weak-model exploration is under way and checks every checker stops with
 // ErrCanceled wrapping the context cause.
 func TestCheckCancelMidExploration(t *testing.T) {
 	// ticketlock4 explores ~4·10⁴ TSO compound states (and more under RA),
@@ -50,6 +54,7 @@ func TestCheckCancelMidExploration(t *testing.T) {
 	checks := []check{
 		{"RA", func(lim staterobust.Limits) error { _, err := staterobust.CheckRA(p, lim); return err }},
 		{"TSO", func(lim staterobust.Limits) error { _, err := staterobust.CheckTSO(p, lim); return err }},
+		{"model.CheckTSO", func(lim staterobust.Limits) error { _, err := model.CheckTSO(p, lim); return err }},
 	}
 	for _, c := range checks {
 		ctx, cancel := context.WithCancel(context.Background())

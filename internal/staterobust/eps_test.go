@@ -76,20 +76,16 @@ func granularClosedSC(t *testing.T, program *lang.Program) map[string]struct{} {
 	p := prog.New(program)
 	closed := map[string]struct{}{}
 	st := p.InitStateRaw()
-	for key := range all {
-		p.DecodeState([]byte(key), st)
-		ok := true
+	all.Range(func(key []byte) {
+		p.DecodeState(key, st)
 		for ti := range p.Threads {
 			th := &p.Threads[ti]
 			if !th.Terminated(st.Threads[ti]) && th.AtEps(st.Threads[ti]) {
-				ok = false
-				break
+				return
 			}
 		}
-		if ok {
-			closed[key] = struct{}{}
-		}
-	}
+		closed[string(key)] = struct{}{}
+	})
 	return closed
 }
 

@@ -1,7 +1,6 @@
 package staterobust
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/explore"
@@ -68,6 +67,7 @@ type raScratch struct {
 	slots  []memra.Time
 	psPool []prog.State
 	mPool  []*memra.State
+	pj     *Projector
 }
 
 func (ws *raScratch) takePS(from prog.State) prog.State {
@@ -90,20 +90,36 @@ func (ws *raScratch) takeM(from *memra.State) *memra.State {
 	return from.Clone()
 }
 
-// checkWeakRA runs on the shared parallel engine (explore.RunParallel over
-// an explore.Sharded visited set): frontier items carry the decoded
-// product state ⟨program state, RA memory⟩, workers share the read-only
-// compiled program and SC-reachable set, and the weak program-state set is
-// the only mutable shared structure beyond the store (a mutex-guarded map;
-// it is touched once per new compound state, so contention is off the
-// expansion hot path).
+// checkWeakRA compares the program states reachable under the RA (sra:
+// SRA) timestamp machine against ReachableSC.
 func checkWeakRA(program *lang.Program, lim Limits, sra bool) (*Result, error) {
 	scSet, err := ReachableSC(program, lim)
 	if err != nil {
 		return nil, err
 	}
+	res, _, err := exploreRA(program, lim, sra, scSet)
+	return res, err
+}
+
+// exploreRA explores the product of the program with the RA (sra: SRA)
+// timestamp machine and returns the set of program-state projections it
+// reaches (Projector.Key). Given an SC-reachable set scSet, it stops at
+// the first projection outside it and reports it as the Result's
+// witness; with scSet nil it explores everything.
+//
+// It runs on the shared parallel engine (explore.RunParallel over an
+// explore.Sharded visited set): frontier items carry the decoded product
+// state ⟨program state, RA memory⟩, workers share the read-only compiled
+// program and SC-reachable set, and the weak program-state set is the
+// only mutable shared structure beyond the store (a concurrent
+// explore.Set, touched once per new compound state). Each worker folds
+// projections under symmetry with its own Projector.
+func exploreRA(program *lang.Program, lim Limits, sra bool, scSet *explore.Set) (*Result, *explore.Set, error) {
 	p := prog.New(program)
-	res := &Result{Robust: true, SCStates: len(scSet)}
+	res := &Result{Robust: true}
+	if scSet != nil {
+		res.SCStates = scSet.Len()
+	}
 	headroom := RAHeadroom(program, lim)
 	gapCap := headroom + 1
 
@@ -111,14 +127,10 @@ func checkWeakRA(program *lang.Program, lim Limits, sra bool) (*Result, error) {
 		ps prog.State
 		m  *memra.State
 	}
-	workers := lim.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	store := explore.NewSharded(false)
-	scratches := make([]*raScratch, workers)
+	scratches := make([]*raScratch, lim.WorkerCount())
 	for w := range scratches {
-		scratches[w] = &raScratch{buf: make([]byte, 0, 64)}
+		scratches[w] = &raScratch{buf: make([]byte, 0, 64), pj: NewProjector(p, lim)}
 	}
 	key := func(ws *raScratch, ps prog.State, m *memra.State) []byte {
 		buf := ws.buf[:0]
@@ -130,53 +142,39 @@ func checkWeakRA(program *lang.Program, lim Limits, sra bool) (*Result, error) {
 
 	var (
 		mu        sync.Mutex
-		weak      = map[string]struct{}{}
+		weak      = explore.NewSet()
 		witnessID = int64(-1)
 		bound     bool
-		sy        = lim.symmetry(p)
-		symBuf    []byte
 	)
 	// check records the program state of a newly interned compound state
-	// and reports whether it witnesses non-robustness (reachable weakly
-	// but not under SC). The symmetry canonicalizer's scratch is shared, so
-	// with Reduce the projection key is built under the mutex.
-	check := func(id int64, ps prog.State) bool {
-		var pk string
-		if sy == nil {
-			pk = p.StateKeyRaw(ps)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if sy != nil {
-			symBuf = p.EncodeStateRaw(symBuf[:0], ps)
-			pk = string(sy.CanonRaw(symBuf))
-		}
-		if _, ok := weak[pk]; ok {
+	// (whose key is still in ws.buf) and reports whether it witnesses
+	// non-robustness (reachable weakly but not under SC).
+	check := func(ws *raScratch, id int64) bool {
+		pk := ws.pj.Key(ws.buf)
+		if _, isNew := weak.Add(pk); !isNew || scSet == nil || scSet.Has(pk) {
 			return false
 		}
-		weak[pk] = struct{}{}
-		if _, ok := scSet[pk]; !ok {
-			if witnessID < 0 {
-				witnessID = id
-			}
-			return true
+		mu.Lock()
+		if witnessID < 0 {
+			witnessID = id
 		}
-		return false
+		mu.Unlock()
+		return true
 	}
 
 	ps0 := p.InitStateRaw()
 	m0 := memra.New(program.NumLocs(), program.NumThreads())
 	rootID, _ := store.Add(key(scratches[0], ps0, m0), -1, explore.Step{})
-	if check(rootID, ps0) {
+	if check(scratches[0], rootID) {
 		res.Robust = false
 		res.WitnessTrace = store.Trace(rootID)
 		res.Explored = store.Len()
-		res.WeakStates = len(weak)
-		return res, nil
+		res.WeakStates = weak.Len()
+		return res, weak, nil
 	}
 
 	expand := func(w int, it explore.Item[node], push func(explore.Item[node])) bool {
-		if store.Len() > lim.maxStates() {
+		if store.Len() > lim.StateBound() {
 			mu.Lock()
 			bound = true
 			mu.Unlock()
@@ -199,7 +197,7 @@ func checkWeakRA(program *lang.Program, lim Limits, sra bool) (*Result, error) {
 				ws.mPool = append(ws.mPool, nextM)
 				return false
 			}
-			if check(id, nextPS) {
+			if check(ws, id) {
 				return true
 			}
 			push(explore.Item[node]{ID: id, St: node{nextPS, nextM}})
@@ -224,7 +222,7 @@ func checkWeakRA(program *lang.Program, lim Limits, sra bool) (*Result, error) {
 					ws.psPool = append(ws.psPool, nextPS)
 					continue
 				}
-				if check(id, nextPS) {
+				if check(ws, id) {
 					return false
 				}
 				push(explore.Item[node]{ID: id, St: node{nextPS, ws.takeM(n.m)}})
@@ -306,22 +304,18 @@ func checkWeakRA(program *lang.Program, lim Limits, sra bool) (*Result, error) {
 		return true
 	}
 
-	ro := explore.RunOpts{Ctx: lim.Ctx, ProgressEvery: progressEvery}
-	if lim.Progress != nil {
-		ro.Progress = func(int64) { lim.Progress(store.Len()) }
-	}
-	explore.RunParallelOpts(workers, []explore.Item[node]{{ID: rootID, St: node{ps0, m0}}}, expand, ro)
-	if lim.ctxDone() {
-		return nil, lim.canceled()
+	explore.RunParallelOpts(len(scratches), []explore.Item[node]{{ID: rootID, St: node{ps0, m0}}}, expand, lim.RunOpts(store.Len))
+	if err := lim.Err(); err != nil {
+		return nil, nil, err
 	}
 	res.Explored = store.Len()
-	res.WeakStates = len(weak)
+	res.WeakStates = weak.Len()
 	if bound {
-		return nil, ErrBound
+		return nil, nil, ErrBound
 	}
 	if witnessID >= 0 {
 		res.Robust = false
 		res.WitnessTrace = store.Trace(witnessID)
 	}
-	return res, nil
+	return res, weak, nil
 }

@@ -27,10 +27,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/explore"
 	"repro/internal/lang"
-	"repro/internal/memsc"
 	"repro/internal/prog"
 )
 
@@ -46,10 +46,15 @@ type Limits struct {
 	// write instructions + 2), which is exact for programs whose loops do
 	// not grow the write count beyond it (see memra's package comment).
 	RAHeadroom int
-	// Workers sets the number of parallel exploration workers for the RA
-	// checker: 0 uses GOMAXPROCS, 1 explores sequentially. Verdicts and
-	// full-run state counts are worker-count-independent; only witness
-	// traces (and counts on non-robust early exits) may differ.
+	// Workers sets the number of parallel exploration workers of every
+	// state checker — the SC backbone (ReachableSC), CheckRA/CheckSRA and
+	// the instrumented TSO checker (model.CheckTSO): 0 uses GOMAXPROCS, 1
+	// explores sequentially. Verdicts and full-run state counts are
+	// worker-count-independent, and so is everything the level-synchronous
+	// checkers (ReachableSC, model.CheckTSO) report on non-robust programs;
+	// CheckRA/CheckSRA stop at the first violation any worker finds, so
+	// their witness and non-robust counts may vary. The exhaustive CheckTSO
+	// explores its product sequentially.
 	Workers int
 	// Ctx, when non-nil, cancels the exploration cooperatively (polled
 	// every few hundred expansions at most): a cancelled run returns
@@ -79,11 +84,21 @@ func (l Limits) symmetry(p *prog.P) *prog.Symmetry {
 	return prog.NewSymmetry(p)
 }
 
-func (l Limits) maxStates() int {
+// StateBound returns the state bound MaxStates stands for.
+func (l Limits) StateBound() int {
 	if l.MaxStates <= 0 {
 		return 4_000_000
 	}
 	return l.MaxStates
+}
+
+// WorkerCount returns the number of exploration workers Workers stands
+// for.
+func (l Limits) WorkerCount() int {
+	if l.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return l.Workers
 }
 
 // ctxDone reports whether the limits' context has been cancelled.
@@ -91,9 +106,25 @@ func (l Limits) ctxDone() bool {
 	return l.Ctx != nil && l.Ctx.Err() != nil
 }
 
-// canceled wraps the context's cause in ErrCanceled.
-func (l Limits) canceled() error {
+// Err returns ErrCanceled, wrapping the context's cause, once Ctx has
+// been cancelled, and nil before. Checkers call it after every
+// exploration, so a cancelled run never returns a verdict.
+func (l Limits) Err() error {
+	if !l.ctxDone() {
+		return nil
+	}
 	return fmt.Errorf("%w: %w", ErrCanceled, context.Cause(l.Ctx))
+}
+
+// RunOpts returns the parallel engines' options for these limits: the
+// context, and Progress reporting explored() every progressEvery
+// expansions.
+func (l Limits) RunOpts(explored func() int) explore.RunOpts {
+	ro := explore.RunOpts{Ctx: l.Ctx, ProgressEvery: progressEvery}
+	if l.Progress != nil {
+		ro.Progress = func(int64) { l.Progress(explored()) }
+	}
+	return ro
 }
 
 // ErrBound is returned when an exploration exceeds its state bound.
@@ -103,7 +134,7 @@ var ErrBound = fmt.Errorf("staterobust: state bound exceeded")
 // Limits.Ctx is cancelled before the exploration completes.
 var ErrCanceled = errors.New("staterobust: exploration canceled")
 
-// ctxPollMask gates the sequential explorers' context polls (checked every
+// ctxPollMask gates the sequential explorer's context polls (checked every
 // ctxPollMask+1 expansions).
 const ctxPollMask = 255
 
@@ -130,8 +161,38 @@ type Result struct {
 	BufBoundHit bool
 }
 
-// ReachableSC returns the set of program-state keys reachable under SC
-// (Definition 2.5 with M = SC), exploring the product with the SC memory.
+// Projector maps state keys to program-state projection keys: the raw
+// program-state prefix of a compound key (EncodeStateRaw comes first in
+// every checker's encoding), folded under thread symmetry when
+// Limits.Reduce is set. It owns scratch, so each worker needs its own.
+type Projector struct {
+	sy  *prog.Symmetry
+	n   int
+	buf []byte
+}
+
+// NewProjector returns a projector for p under lim.
+func NewProjector(p *prog.P, lim Limits) *Projector {
+	return &Projector{sy: lim.symmetry(p), n: len(p.EncodeStateRaw(nil, p.InitStateRaw()))}
+}
+
+// Len returns the length of the program-state prefix.
+func (pj *Projector) Len() int { return pj.n }
+
+// Key returns the projection key of a compound key or of a bare raw
+// program-state encoding. The result is valid until the next call and
+// may alias key.
+func (pj *Projector) Key(key []byte) []byte {
+	if pj.sy == nil {
+		return key[:pj.n]
+	}
+	pj.buf = append(pj.buf[:0], key[:pj.n]...)
+	return pj.sy.CanonRaw(pj.buf)
+}
+
+// ReachableSC returns the set of program-state projection keys
+// (Projector.Key) reachable under SC (Definition 2.5 with M = SC),
+// exploring the product with the SC memory.
 //
 // The exploration is ε-granular: thread-local instructions are interleaved
 // transitions of their own, exactly as in §2.2, so partially-closed states
@@ -139,83 +200,80 @@ type Result struct {
 // enumerated. State robustness is sensitive to them — the paper's §2.3
 // barrier discussion hinges on a state where both threads hold stale
 // zeroes on their loop branches.
-func ReachableSC(program *lang.Program, lim Limits) (map[string]struct{}, error) {
+//
+// It runs on explore.RunLevels with lim.Workers workers. The visited set
+// carries no trace links and the frontier only ids: each state is decoded
+// from its key, the raw program state followed by one byte per location
+// of SC memory. The returned set is safe for concurrent Has calls, so the
+// weak explorations probe it from all their workers.
+func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 	p := prog.New(program)
-	type node struct {
-		ps prog.State
-		m  memsc.Memory
+	seen, reach := explore.NewSet(), explore.NewSet()
+	type worker struct {
+		pj                *Projector
+		cur, key, nextMem []byte
+		ps, nxt           prog.State
 	}
-	ps0 := p.InitStateRaw()
-	m0 := memsc.New(program.NumLocs())
-	sy := lim.symmetry(p)
-	seen := map[string]struct{}{}
-	reach := map[string]struct{}{}
-	var queue []node
-	var buf, kbuf []byte
-	key := func(ps prog.State, m memsc.Memory) string {
-		buf = buf[:0]
-		buf = p.EncodeStateRaw(buf, ps)
-		buf = m.Encode(buf)
-		return string(buf)
+	ws := make([]*worker, lim.WorkerCount())
+	for w := range ws {
+		ws[w] = &worker{pj: NewProjector(p, lim), ps: p.InitStateRaw(), nxt: p.InitStateRaw()}
 	}
-	projKey := func(ps prog.State) string {
-		if sy == nil {
-			return p.StateKeyRaw(ps)
+	n := ws[0].pj.Len()
+	// add interns the successor in wk.nxt (with memory mem) and queues it
+	// when new.
+	add := func(wk *worker, mem []byte, push func(int64)) {
+		wk.key = append(p.EncodeStateRaw(wk.key[:0], wk.nxt), mem...)
+		if id, isNew := seen.Add(wk.key); isNew {
+			reach.Add(wk.pj.Key(wk.key))
+			push(id)
 		}
-		kbuf = p.EncodeStateRaw(kbuf[:0], ps)
-		return string(sy.CanonRaw(kbuf))
 	}
-	push := func(ps prog.State, m memsc.Memory) {
-		k := key(ps, m)
-		if _, ok := seen[k]; ok {
-			return
+	expand := func(w int, id int64, push func(int64)) bool {
+		if seen.Len() > lim.StateBound() {
+			return false // ErrBound below: the count only grows
 		}
-		seen[k] = struct{}{}
-		reach[projKey(ps)] = struct{}{}
-		queue = append(queue, node{ps, m})
-	}
-	push(ps0, m0)
-	popped := 0
-	for len(queue) > 0 {
-		if len(seen) > lim.maxStates() {
-			return nil, ErrBound
-		}
-		if popped&ctxPollMask == 0 && lim.ctxDone() {
-			return nil, lim.canceled()
-		}
-		popped++
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+		wk := ws[w]
+		wk.cur = seen.AppendKey(wk.cur[:0], id)
+		p.DecodeState(wk.cur, wk.ps)
+		p.DecodeState(wk.cur, wk.nxt)
+		mem := wk.cur[n:]
 		for t := range p.Threads {
 			th := &p.Threads[t]
-			ts := n.ps.Threads[t]
-			if th.Terminated(ts) {
+			ts := wk.ps.Threads[t]
+			switch {
+			case th.Terminated(ts):
 				continue
-			}
-			if th.AtEps(ts) {
-				nextTS, afail := th.StepEps(ts)
-				if afail != nil {
-					continue // a failed assert has no successors
+			case th.AtEps(ts):
+				if th.StepEpsInto(ts, &wk.nxt.Threads[t]) != nil {
+					break // a failed assert has no successors
 				}
-				nextPS := n.ps.Clone()
-				nextPS.Threads[t] = nextTS
-				push(nextPS, n.m)
-				continue
+				add(wk, mem, push)
+			default:
+				op := th.Op(ts)
+				label, enabled := prog.SCLabel(op, lang.Val(mem[op.Loc]), program.ValCount)
+				if !enabled {
+					continue
+				}
+				th.ApplyRawInto(ts, label, &wk.nxt.Threads[t])
+				wk.nextMem = append(wk.nextMem[:0], mem...)
+				if label.Typ != lang.LRead {
+					wk.nextMem[label.Loc] = byte(label.VW)
+				}
+				add(wk, wk.nextMem, push)
 			}
-			op := th.Op(ts)
-			label, enabled := prog.SCLabel(op, n.m[op.Loc], program.ValCount)
-			if !enabled {
-				continue
-			}
-			nextPS := n.ps.Clone()
-			nextPS.Threads[t] = th.ApplyRaw(ts, label)
-			nextM := n.m.Clone()
-			nextM.Step(label)
-			push(nextPS, nextM)
+			wk.nxt.Threads[t].PC = ts.PC
+			copy(wk.nxt.Threads[t].Regs, ts.Regs)
 		}
+		return true
 	}
-	if lim.ctxDone() {
-		return nil, lim.canceled()
+	var root int64
+	add(ws[0], make([]byte, program.NumLocs()), func(id int64) { root = id })
+	explore.RunLevels(len(ws), []int64{root}, expand, nil, explore.RunOpts{Ctx: lim.Ctx})
+	if err := lim.Err(); err != nil {
+		return nil, err
+	}
+	if seen.Len() > lim.StateBound() {
+		return nil, ErrBound
 	}
 	return reach, nil
 }

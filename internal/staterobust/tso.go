@@ -28,7 +28,7 @@ func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
 		return nil, err
 	}
 	p := prog.New(program)
-	res := &Result{Robust: true, SCStates: len(scSet)}
+	res := &Result{Robust: true, SCStates: scSet.Len()}
 
 	type node struct {
 		ps prog.State
@@ -37,7 +37,6 @@ func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
 	ps0 := p.InitStateRaw()
 	store := explore.NewStore()
 	var queue explore.Queue[node]
-	weak := map[string]struct{}{}
 	// key encodes into a reused buffer; the store interns the bytes in its
 	// arena, so no per-Add string materialization is needed.
 	var buf []byte
@@ -47,25 +46,18 @@ func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
 		buf = m.Encode(buf)
 		return buf
 	}
-	sy := lim.symmetry(p)
-	var symBuf []byte
+	pj := NewProjector(p, lim)
+	weak := explore.NewSet()
+	var pbuf []byte
 	check := func(id int32, ps prog.State) bool {
-		var pk string
-		if sy == nil {
-			pk = p.StateKeyRaw(ps)
-		} else {
-			symBuf = p.EncodeStateRaw(symBuf[:0], ps)
-			pk = string(sy.CanonRaw(symBuf))
-		}
-		if _, ok := weak[pk]; !ok {
-			weak[pk] = struct{}{}
-			if _, ok := scSet[pk]; !ok {
-				res.Robust = false
-				if res.WitnessTrace == nil {
-					res.WitnessTrace = store.Trace(id)
-				}
-				return true
+		pbuf = p.EncodeStateRaw(pbuf[:0], ps)
+		pk := pj.Key(pbuf)
+		if _, isNew := weak.Add(pk); isNew && !scSet.Has(pk) {
+			res.Robust = false
+			if res.WitnessTrace == nil {
+				res.WitnessTrace = store.Trace(id)
 			}
+			return true
 		}
 		return false
 	}
@@ -81,11 +73,11 @@ func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
 		if !ok {
 			break
 		}
-		if store.Len() > lim.maxStates() {
+		if store.Len() > lim.StateBound() {
 			return nil, ErrBound
 		}
 		if popped&ctxPollMask == 0 && lim.ctxDone() {
-			return nil, lim.canceled()
+			return nil, lim.Err()
 		}
 		popped++
 		if lim.Progress != nil && popped%progressEvery == 0 {
@@ -112,7 +104,7 @@ func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
 				if isNew {
 					if check(id, nextPS) {
 						res.Explored = store.Len()
-						res.WeakStates = len(weak)
+						res.WeakStates = weak.Len()
 						return res, nil
 					}
 					queue.Push(id, node{nextPS, n.m.Clone()})
@@ -160,7 +152,7 @@ func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
 			if isNew {
 				if check(id, nextPS) {
 					res.Explored = store.Len()
-					res.WeakStates = len(weak)
+					res.WeakStates = weak.Len()
 					return res, nil
 				}
 				queue.Push(id, node{nextPS, nextM})
@@ -182,9 +174,9 @@ func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
 		}
 	}
 	if lim.ctxDone() {
-		return nil, lim.canceled()
+		return nil, lim.Err()
 	}
 	res.Explored = store.Len()
-	res.WeakStates = len(weak)
+	res.WeakStates = weak.Len()
 	return res, nil
 }

@@ -44,7 +44,7 @@ func ReplayWitness(program *lang.Program, trace []explore.Step, sra bool, lim Li
 	var msgs []memra.Msg
 	var slots []memra.Time
 	work := 0
-	budget := lim.maxStates()
+	budget := lim.StateBound()
 	for i, st := range trace {
 		t := int(st.Tid)
 		if t < 0 || t >= len(p.Threads) {
@@ -185,7 +185,7 @@ func ReplayWitness(program *lang.Program, trace []explore.Step, sra bool, lim Li
 		}
 		ps.Threads[t] = th.ApplyRaw(ts, lab)
 	}
-	if _, ok := scSet[p.StateKeyRaw(ps)]; ok {
+	if scSet.Has(NewProjector(p, lim).Key(p.EncodeStateRaw(nil, ps))) {
 		return fmt.Errorf("final program state is SC-reachable — not a robustness witness")
 	}
 	return nil
