@@ -45,10 +45,15 @@
 //     them contracts to one avoiding them — the verdict must be exactly
 //     unchanged, in both directions.
 //   - Witness replay: a non-robust verdict must come with a trace that
-//     actually replays — under instrumented SC for the SCM route, under
-//     the timestamp machine for the RA route (see staterobust.ReplayWitness),
-//     under the lazy single-delayer machine for the instrumented TSO route
-//     (model.ReplayTSO).
+//     actually replays — under instrumented SC (core.Stepper) for the
+//     SCM route, under the timestamp machine for the RA route (see
+//     staterobust.ReplayWitness), under the lazy single-delayer machine
+//     for the instrumented TSO route (model.ReplayTSO).
+//   - Witness refutation (internal/fence): fence.Enforce skips the
+//     oracle on a candidate repair when a cached witness replays to a
+//     violation of it. On a single-fence mutant of every non-robust
+//     input, such a refutation must agree with the oracle's verdict on
+//     the mutant.
 //   - Syntax: Parse∘Format is a fixpoint and preserves the canonical
 //     digest, so the pretty-printer can never corrupt a program.
 //
@@ -62,6 +67,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/fence"
 	"repro/internal/lang"
 	"repro/internal/model"
@@ -516,9 +522,46 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 		}
 	}
 
+	// Witness refutation (fence.Refutes, the test fence.Enforce uses to
+	// skip the oracle): when the input's witness replays to a violation
+	// on a single-fence mutant, the oracle must call the mutant
+	// non-robust.
+	if seqOK && !seq.Robust && seq.AssertFail == nil {
+		checkFenceRefute(r, p, src, seq.Trace, base, verify)
+	}
+
 	// Metamorphic fence insertion, at the level where it is a theorem.
 	if !cfg.SkipRA {
 		checkFenceMonotone(r, p, src, cfg)
+	}
+}
+
+// checkFenceRefute replays the witness trace of p on p with one fence at
+// the fencePoint position. A replay that reaches a violating state is a
+// refutation, which is sound only if the oracle agrees that the mutant is
+// non-robust.
+func checkFenceRefute(r *Report, p *lang.Program, src string, trace []explore.Step, opts core.Options,
+	verify func(string, *lang.Program, core.Options) (*core.Verdict, bool)) {
+	tid, at, ok := fencePoint(p)
+	if !ok {
+		return
+	}
+	pls := []fence.Placement{{Kind: fence.InsertFence, Tid: tid, At: at}}
+	witness := make([]lang.Tid, len(trace))
+	for i, s := range trace {
+		witness[i] = s.Tid
+	}
+	refuted, err := fence.Refutes(p, pls, witness, opts)
+	if err != nil {
+		r.addf("engine-error", src, "fence-refute: %v", err)
+		return
+	}
+	if !refuted {
+		return
+	}
+	mutant := fence.Apply(p, pls)
+	if mv, ok := verify("fence-refute", mutant, opts); ok && mv.Robust {
+		r.addf("fence-refute", parser.Format(mutant), "the witness replays to a violation with a fence in thread %d before instruction %d, but the fenced program verifies robust", tid, at)
 	}
 }
 

@@ -6,64 +6,46 @@ import (
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/lang"
-	"repro/internal/prog"
-	"repro/internal/scm"
 )
 
 // replaySC validates a non-robust core.Verify verdict by replaying its
-// trace under SC with a fresh §5 monitor, built exactly as the verifier
-// builds its own (abstract selects CriticalVals vs FullCriticalVals, sra
-// the monitor's model). The trace must be a real SC run — each step's
-// label must be the unique SC label of the thread's pending operation —
-// and must end in a state exhibiting a violation: a Theorem 5.3 condition
-// on some thread's pending operation, a Definition 6.1 race, or (for
-// assertion verdicts) a failing assert on the final step. Returns nil when
-// the witness checks out.
+// trace on a core.Stepper, whose §5 monitor is built exactly as the
+// verifier builds its own (abstract selects CriticalVals vs
+// FullCriticalVals, sra the monitor's model). The trace must be a real SC
+// run — each step's label must be the unique SC label of the thread's
+// pending operation — and must end in a state exhibiting a violation: a
+// Theorem 5.3 condition on some thread's pending operation, a
+// Definition 6.1 race, or (for assertion verdicts) a failing assert on
+// the final step. Returns nil when the witness checks out.
 func replaySC(program *lang.Program, v *core.Verdict, abstract, sra bool) error {
-	p := prog.New(program)
-	var crit []uint64
-	if abstract {
-		crit = prog.CriticalVals(program)
-	} else {
-		crit = prog.FullCriticalVals(program)
+	opts := core.Options{AbstractVals: abstract}
+	if sra {
+		opts.Model = core.ModelSRA
 	}
-	na := make([]bool, len(program.Locs))
-	hasNA := false
-	for i := range program.Locs {
-		na[i] = program.Locs[i].NA
-		hasNA = hasNA || na[i]
+	st, err := core.NewStepper(program, opts)
+	if err != nil {
+		return err
 	}
-	mon := scm.NewMonitor(program.NumThreads(), program.NumLocs(), program.ValCount, crit, na)
-	mon.SRA = sra
-
-	ps, fail := p.InitState()
-	if fail != nil {
+	if st.Reset() != nil {
 		if v.AssertFail == nil {
 			return fmt.Errorf("initial state fails an assertion but the verdict reports none")
 		}
 		return nil
 	}
-	ms := mon.Init()
-	for i, st := range v.Trace {
-		if st.Internal != explore.IntNone {
+	for i, s := range v.Trace {
+		if s.Internal != explore.IntNone {
 			return fmt.Errorf("step %d: internal step in an SC trace (states there are ε-closed)", i)
 		}
-		t := int(st.Tid)
-		if t < 0 || t >= len(p.Threads) {
-			return fmt.Errorf("step %d: thread %d out of range", i, t)
+		if int(s.Tid) >= program.NumThreads() {
+			return fmt.Errorf("step %d: thread %d out of range", i, s.Tid)
 		}
-		op := p.Threads[t].Op(ps.Threads[t])
-		if op.Kind == prog.OpNone {
-			return fmt.Errorf("step %d: thread %d has terminated", i, t)
+		label, ok, afail := st.Step(s.Tid)
+		if !ok {
+			return fmt.Errorf("step %d: thread %d has terminated or is blocked under SC", i, s.Tid)
 		}
-		label, enabled := prog.SCLabel(op, ms.M[op.Loc], program.ValCount)
-		if !enabled {
-			return fmt.Errorf("step %d: thread %d's operation is blocked under SC", i, t)
+		if label != s.Lab {
+			return fmt.Errorf("step %d: SC forces label %v, trace claims %v", i, label, s.Lab)
 		}
-		if label != st.Lab {
-			return fmt.Errorf("step %d: SC forces label %v, trace claims %v", i, label, st.Lab)
-		}
-		nts, afail := p.Threads[t].Apply(ps.Threads[t], label)
 		if afail != nil {
 			if i != len(v.Trace)-1 {
 				return fmt.Errorf("step %d: assertion fails before the end of the trace", i)
@@ -73,22 +55,12 @@ func replaySC(program *lang.Program, v *core.Verdict, abstract, sra bool) error 
 			}
 			return nil
 		}
-		ps.Threads[t] = nts
-		mon.Step(ms, lang.Tid(t), label)
 	}
 	if v.AssertFail != nil {
 		return fmt.Errorf("verdict reports a failed assertion but the trace replays without one")
 	}
-	ops := p.Ops(ps)
-	for t := range ops {
-		if viol := mon.CheckOp(ms, lang.Tid(t), ops[t]); viol != nil {
-			return nil
-		}
+	if st.Violation() == nil {
+		return fmt.Errorf("trace replays under SC but the final state exhibits no violation")
 	}
-	if hasNA {
-		if viol := mon.CheckRace(ops); viol != nil {
-			return nil
-		}
-	}
-	return fmt.Errorf("trace replays under SC but the final state exhibits no violation")
+	return nil
 }

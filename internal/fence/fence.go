@@ -16,14 +16,42 @@
 // The search enumerates repair sets smallest-first, using the core
 // verifier as the oracle, so a returned repair is verified robust and no
 // strictly smaller candidate within the chosen strategy is.
+//
+// The search is counterexample-guided. Every candidate the oracle finds
+// non-robust leaves a witness: the thread schedule of its counterexample
+// trace, in the original program's numbering with the inserted fence
+// steps removed. Before a candidate goes to the oracle, the cached
+// witnesses are replayed on it with a core.Stepper (each thread runs the
+// fences it reaches, and pending fences are flushed at the end); on the
+// corpus, replay refutes all but a few dozen of the thousands of
+// candidates a search visits.
+//
+// The soundness rule: a replay refutes the candidate only when it reaches
+// a state of the candidate's instrumented SC machine — built exactly as
+// the oracle builds it — where the oracle's own per-state checks report a
+// violation; the oracle would then report one too. Any other outcome (a
+// blocked or terminated thread, a failing assertion, a schedule that ends
+// without a violation) leaves the candidate to the oracle. Every robust
+// answer therefore still comes from core.Verify, and the placements
+// returned are the ones the exhaustive search returns.
+//
+// One behaviour differs from verifying every candidate: a candidate
+// refuted by replay is never explored, so it cannot fail with
+// core.ErrStateBound under Verify.MaxStates. A search that would have
+// stopped with that error may now return a repair; it never returns a
+// different robust one.
 package fence
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/lang"
 	"repro/internal/parser"
+	"repro/internal/prog"
 )
 
 // RepairKind distinguishes the two repair moves.
@@ -91,65 +119,45 @@ var ErrNotEnforceable = fmt.Errorf("fence: no repair within the bound enforces r
 // executes the fence first (a fence inside a loop runs every iteration).
 // Strengthened writes keep their position and targets.
 func Apply(p *lang.Program, placements []Placement) *lang.Program {
-	out := &lang.Program{
-		Name:     p.Name,
-		ValCount: p.ValCount,
-		Locs:     append([]lang.LocInfo(nil), p.Locs...),
+	return applyInto(&lang.Program{}, p, placements)
+}
+
+// applyInto is Apply writing the strengthened program into dst, reusing
+// its slices: the search builds every candidate in one scratch program.
+func applyInto(dst, p *lang.Program, placements []Placement) *lang.Program {
+	out := dst
+	out.Name = p.Name
+	out.ValCount = p.ValCount
+	out.Locs = append(out.Locs[:0], p.Locs...)
+	if cap(out.Threads) < len(p.Threads) {
+		out.Threads = make([]lang.SeqProg, len(p.Threads))
 	}
+	out.Threads = out.Threads[:len(p.Threads)]
 	fl, haveFence := p.LocByName(parser.FenceLoc)
-	needFence := false
-	for _, pl := range placements {
-		if pl.Kind == InsertFence {
-			needFence = true
-		}
-	}
-	if needFence && !haveFence {
-		fl = lang.Loc(len(out.Locs))
-		out.Locs = append(out.Locs, lang.LocInfo{Name: parser.FenceLoc})
-	}
-	fences := map[lang.Tid]map[int]int{}
-	strengthen := map[lang.Tid]map[int]bool{}
-	for _, pl := range placements {
-		switch pl.Kind {
-		case InsertFence:
-			if fences[pl.Tid] == nil {
-				fences[pl.Tid] = map[int]int{}
-			}
-			fences[pl.Tid][pl.At]++
-		case StrengthenWrite:
-			if strengthen[pl.Tid] == nil {
-				strengthen[pl.Tid] = map[int]bool{}
-			}
-			strengthen[pl.Tid][pl.At] = true
-		}
-	}
 	for ti := range p.Threads {
 		src := &p.Threads[ti]
 		tid := lang.Tid(ti)
-		t := lang.SeqProg{
-			Name:     src.Name,
-			NumRegs:  src.NumRegs,
-			RegNames: append([]string(nil), src.RegNames...),
-		}
-		before := fences[tid]
-		strong := strengthen[tid]
+		n := len(src.Insts)
+		nFences := countIn(placements, InsertFence, tid, 0, n)
+		modified := nFences > 0 || countIn(placements, StrengthenWrite, tid, 0, n) > 0
+		t := &out.Threads[ti]
+		t.Name = src.Name
+		t.NumRegs = src.NumRegs
+		t.RegNames = append(t.RegNames[:0], src.RegNames...)
+		t.Insts = slices.Grow(t.Insts[:0], n+nFences)
 		var scratch lang.Reg
-		if len(before) > 0 || len(strong) > 0 {
+		if modified {
 			scratch = lang.Reg(t.NumRegs)
 			t.NumRegs++
 			t.RegNames = append(t.RegNames, "__fr")
 		}
-		shift := func(target int) int {
-			n := 0
-			for pos, c := range before {
-				if pos < target {
-					n += c
-				}
-			}
-			return target + n
+		if nFences > 0 && !haveFence {
+			haveFence = true
+			fl = lang.Loc(len(out.Locs))
+			out.Locs = append(out.Locs, lang.LocInfo{Name: parser.FenceLoc})
 		}
 		for pc := range src.Insts {
-			for i := 0; i < before[pc]; i++ {
+			for i := countIn(placements, InsertFence, tid, pc, pc+1); i > 0; i-- {
 				t.Insts = append(t.Insts, lang.Inst{
 					Kind: lang.IFADD,
 					Reg:  scratch,
@@ -160,9 +168,9 @@ func Apply(p *lang.Program, placements []Placement) *lang.Program {
 			}
 			in := src.Insts[pc]
 			if in.Kind == lang.IGoto {
-				in.Target = shift(in.Target)
+				in.Target += countIn(placements, InsertFence, tid, 0, in.Target)
 			}
-			if strong[pc] {
+			if countIn(placements, StrengthenWrite, tid, pc, pc+1) > 0 {
 				if in.Kind != lang.IWrite {
 					panic("fence: StrengthenWrite on a non-write instruction")
 				}
@@ -176,15 +184,21 @@ func Apply(p *lang.Program, placements []Placement) *lang.Program {
 			}
 			t.Insts = append(t.Insts, in)
 		}
-		out.Threads = append(out.Threads, t)
 	}
 	return out
 }
 
-// Insert is Apply restricted to fence insertions, kept as the simple
-// entry point for the common case.
-func Insert(p *lang.Program, placements []Placement) *lang.Program {
-	return Apply(p, placements)
+// countIn returns the number of placements of the given kind in thread
+// tid at instructions lo ≤ At < hi. Repair sets are small (MaxRepairs),
+// so Apply scans them instead of building per-thread index maps.
+func countIn(placements []Placement, kind RepairKind, tid lang.Tid, lo, hi int) int {
+	n := 0
+	for _, pl := range placements {
+		if pl.Kind == kind && pl.Tid == tid && lo <= pl.At && pl.At < hi {
+			n++
+		}
+	}
+	return n
 }
 
 // candidates returns the repair moves the strategy admits: fences before
@@ -215,44 +229,34 @@ func candidates(p *lang.Program, strategy Strategy) []Placement {
 
 // Enforce searches for a minimal repair set that makes the program
 // execution-graph robust against RA. It returns the placements (empty if
-// the program is already robust) and the strengthened program.
+// the program is already robust) and the strengthened program. The
+// search polls opts.Verify.Ctx before every candidate, refuted ones
+// included: a cancelled context yields an error wrapping
+// core.ErrCanceled, never a result.
 func Enforce(p *lang.Program, opts Options) ([]Placement, *lang.Program, error) {
 	if opts.MaxRepairs <= 0 {
 		opts.MaxRepairs = 4
 	}
-	// Options carries funcs (progress hooks) and so is not comparable;
-	// detect a zero value field-wise to install the defaults.
-	if v := opts.Verify; !v.AbstractVals && v.Model == core.ModelRA && v.MaxStates == 0 &&
-		!v.KeepAllViolations && !v.HashCompact && v.Workers == 0 &&
-		v.Ctx == nil && v.Progress == nil && v.ProgressEvery == 0 {
-		opts.Verify = core.DefaultOptions()
-	}
-	robust := func(q *lang.Program) (bool, error) {
-		v, err := core.Verify(q, opts.Verify)
-		if err != nil {
-			return false, err
-		}
-		if v.AssertFail != nil {
-			return false, fmt.Errorf("fence: program has a failing assertion under SC")
-		}
-		return v.Robust, nil
-	}
-	if ok, err := robust(p); err != nil {
+	s := &search{p: p, opts: verifyOptions(opts.Verify)}
+	q := &lang.Program{}
+	if ok, err := s.robust(p); err != nil {
 		return nil, nil, err
 	} else if ok {
 		return nil, p, nil
 	}
 	cands := candidates(p, opts.Strategy)
 	pick := make([]int, 0, opts.MaxRepairs)
-	var search func(size, from int) ([]Placement, *lang.Program, error)
-	search = func(size, from int) ([]Placement, *lang.Program, error) {
+	pls := make([]Placement, 0, opts.MaxRepairs)
+	var try func(size, from int) ([]Placement, *lang.Program, error)
+	try = func(size, from int) ([]Placement, *lang.Program, error) {
 		if size == 0 {
-			pls := make([]Placement, len(pick))
-			for i, ci := range pick {
-				pls[i] = cands[ci]
+			pls = pls[:0]
+			for _, ci := range pick {
+				pls = append(pls, cands[ci])
 			}
-			q := Apply(p, pls)
-			ok, err := robust(q)
+			// Candidates are built in one scratch program; the robust
+			// one ends the search and is returned.
+			ok, err := s.robust(applyInto(q, p, pls))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -263,22 +267,192 @@ func Enforce(p *lang.Program, opts Options) ([]Placement, *lang.Program, error) 
 		}
 		for ci := from; ci < len(cands); ci++ {
 			pick = append(pick, ci)
-			pls, q, err := search(size-1, ci+1)
+			found, fixed, err := try(size-1, ci+1)
 			pick = pick[:len(pick)-1]
-			if err != nil || pls != nil {
-				return pls, q, err
+			if err != nil || found != nil {
+				return found, fixed, err
 			}
 		}
 		return nil, nil, nil
 	}
 	for size := 1; size <= opts.MaxRepairs; size++ {
-		pls, q, err := search(size, 0)
+		found, fixed, err := try(size, 0)
 		if err != nil {
 			return nil, nil, err
 		}
-		if pls != nil {
-			return pls, q, nil
+		if found != nil {
+			return found, fixed, nil
 		}
 	}
 	return nil, nil, ErrNotEnforceable
+}
+
+// verifyOptions returns the oracle configuration: the caller's, or
+// core.DefaultOptions when every field is zero. Options carries a func
+// (the progress hook) and so is not comparable; the zero test is
+// field-wise and must name every field.
+func verifyOptions(v core.Options) core.Options {
+	if v.Model == core.ModelRA && !v.AbstractVals && v.MaxStates == 0 &&
+		!v.KeepAllViolations && !v.HashCompact && v.Workers == 0 &&
+		v.Ctx == nil && v.Progress == nil && v.ProgressEvery == 0 &&
+		!v.Reduce && !v.StaticPrune {
+		return core.DefaultOptions()
+	}
+	return v
+}
+
+// onRefute, when non-nil, is called with every candidate a cached witness
+// refutes, before the search reuses its storage (tests confirm each
+// against the oracle).
+var onRefute func(q *lang.Program)
+
+// search is the state of one Enforce run: the original program, the
+// oracle configuration, and the witness cache — one thread schedule per
+// candidate the oracle found non-robust, in the original program's
+// numbering with inserted fence steps removed, most recently useful
+// first.
+type search struct {
+	p       *lang.Program
+	opts    core.Options
+	witness [][]lang.Tid
+}
+
+// robust decides whether the candidate q (p itself, or Apply of a repair
+// set to p) is robust: false when a cached witness replays to a violation
+// of q, otherwise the oracle's answer.
+func (s *search) robust(q *lang.Program) (bool, error) {
+	if ctx := s.opts.Ctx; ctx != nil && ctx.Err() != nil {
+		return false, fmt.Errorf("%w: %w", core.ErrCanceled, context.Cause(ctx))
+	}
+	c, err := newCandidate(s.p, q, s.opts)
+	if err != nil {
+		return false, err
+	}
+	for i, w := range s.witness {
+		if c.refutes(w) {
+			copy(s.witness[1:i+1], s.witness[:i])
+			s.witness[0] = w
+			if onRefute != nil {
+				onRefute(q)
+			}
+			return false, nil
+		}
+	}
+	v, err := core.Verify(q, s.opts)
+	if err != nil {
+		return false, err
+	}
+	if v.AssertFail != nil {
+		return false, fmt.Errorf("fence: program has a failing assertion under SC")
+	}
+	if !v.Robust {
+		s.witness = slices.Insert(s.witness, 0, c.schedule(v.Trace))
+	}
+	return v.Robust, nil
+}
+
+// Refutes reports whether the witness — a thread schedule of p, such as
+// the thread ids of a non-robust core.Verify trace — replays on
+// Apply(p, placements) to a state where the oracle's per-state checks
+// (under opts' Model, AbstractVals and StaticPrune) report a violation:
+// the test Enforce uses to skip the oracle. A true answer implies
+// core.Verify calls the repaired program non-robust.
+func Refutes(p *lang.Program, placements []Placement, witness []lang.Tid, opts core.Options) (bool, error) {
+	c, err := newCandidate(p, Apply(p, placements), opts)
+	if err != nil {
+		return false, err
+	}
+	return c.refutes(witness), nil
+}
+
+// candidate is one program under test with an instrumented-SC stepper on
+// it, built once and reset for every cached witness replayed.
+type candidate struct {
+	p, q *lang.Program
+	st   *core.Stepper
+}
+
+func newCandidate(p, q *lang.Program, opts core.Options) (*candidate, error) {
+	st, err := core.NewStepper(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &candidate{p: p, q: q, st: st}, nil
+}
+
+// atFence reports whether thread t's pending operation is a fence Apply
+// inserted: an FADD into the scratch register, which no instruction of
+// the original program can name.
+func (c *candidate) atFence(t lang.Tid) bool {
+	op := c.st.Op(t)
+	if op.Kind != prog.OpFADD {
+		return false
+	}
+	return c.q.Threads[t].Insts[op.PC].Reg == lang.Reg(c.p.Threads[t].NumRegs)
+}
+
+// step runs thread t's pending operation. The replay stops when the
+// step is impossible (the thread terminated or is blocked), fails an
+// assertion, or reaches a violating state; violated is true only in the
+// last case.
+func (c *candidate) step(t lang.Tid) (violated, stop bool) {
+	if _, ok, fail := c.st.Step(t); !ok || fail != nil {
+		return false, true
+	}
+	if c.st.Violation() != nil {
+		return true, true
+	}
+	return false, false
+}
+
+// fences runs the inserted fences thread t is poised at.
+func (c *candidate) fences(t lang.Tid) (violated, stop bool) {
+	for c.atFence(t) {
+		if violated, stop = c.step(t); stop {
+			return violated, stop
+		}
+	}
+	return false, false
+}
+
+// refutes replays witness w on the candidate: each scheduled thread first
+// runs the inserted fences it has reached, then its own step, and the
+// pending fences of every thread are flushed at the end. Only a state
+// where Verify's per-state checks report a violation refutes; any other
+// outcome is unknown and leaves the candidate to the oracle.
+func (c *candidate) refutes(w []lang.Tid) bool {
+	if c.st.Reset() != nil {
+		return false
+	}
+	if c.st.Violation() != nil {
+		return true
+	}
+	for _, t := range w {
+		if violated, stop := c.fences(t); stop {
+			return violated
+		}
+		if violated, stop := c.step(t); stop {
+			return violated
+		}
+	}
+	for t := range c.q.Threads {
+		if violated, stop := c.fences(lang.Tid(t)); stop {
+			return violated
+		}
+	}
+	return false
+}
+
+// schedule turns an oracle trace on the candidate into a witness: its
+// thread schedule without the inserted fence steps.
+func (c *candidate) schedule(trace []explore.Step) []lang.Tid {
+	c.st.Reset()
+	w := make([]lang.Tid, 0, len(trace))
+	for _, s := range trace {
+		if !c.atFence(s.Tid) {
+			w = append(w, s.Tid)
+		}
+		c.st.Step(s.Tid)
+	}
+	return w
 }

@@ -87,7 +87,7 @@ func TestEnforceUnfixable(t *testing.T) {
 	}
 }
 
-// TestInsertRemapsJumps checks the jump-target remapping of Insert on a
+// TestInsertRemapsJumps checks the jump-target remapping of Apply on a
 // looping thread.
 func TestInsertRemapsJumps(t *testing.T) {
 	p := parser.MustParse(`
@@ -101,7 +101,7 @@ L:
   if r = 0 goto L
 end
 `)
-	fixed := fence.Insert(p, []fence.Placement{{Kind: fence.InsertFence, Tid: 0, At: 1}})
+	fixed := fence.Apply(p, []fence.Placement{{Kind: fence.InsertFence, Tid: 0, At: 1}})
 	tr := fixed.Threads[0]
 	if len(tr.Insts) != 4 {
 		t.Fatalf("expected 4 instructions, got %d", len(tr.Insts))
@@ -118,7 +118,7 @@ end
 	}
 	// Inserting before the read instead: the back-edge target 0 is
 	// unaffected, a jump to the read would shift.
-	fixed2 := fence.Insert(p, []fence.Placement{{Kind: fence.InsertFence, Tid: 0, At: 0}})
+	fixed2 := fence.Apply(p, []fence.Placement{{Kind: fence.InsertFence, Tid: 0, At: 0}})
 	if fixed2.Threads[0].Insts[3].Target != 0 {
 		// Jumping to instruction 0 now lands on the fence, which runs
 		// before the original first instruction.

@@ -158,6 +158,14 @@ func (mon *Monitor) Init() *State {
 		M: make([]lang.Val, mon.L),
 		B: make([]uint64, mon.words),
 	}
+	mon.Reset(s)
+	return s
+}
+
+// Reset overwrites s, a state of this monitor, with the initial state.
+func (mon *Monitor) Reset(s *State) {
+	clear(s.M)
+	clear(s.B)
 	for t := 0; t < mon.T; t++ {
 		s.B[mon.oVSC+t] = mon.allLocs & mon.Tracked
 	}
@@ -165,7 +173,6 @@ func (mon *Monitor) Init() *State {
 		s.B[mon.oMSC+x] = (1 << x) & mon.Tracked
 		s.B[mon.oWSC+x] = (1 << x) & mon.Tracked
 	}
-	return s
 }
 
 // Clone returns a deep copy.
