@@ -7,7 +7,8 @@
 //	Time    verification time and explored states
 //	SC      plain SC exploration (assertions only) for comparison
 //	TSO     the Trencher-column stand-in: precise state robustness
-//	        against x86-TSO (see DESIGN.md for the substitution notes)
+//	        against x86-TSO, decided by the attack-based checker
+//	        (model.CheckTSO; see DESIGN.md for the substitution notes)
 //
 // Absolute times differ from the paper (different machine, different model
 // checker, no gcc compilation phase); the verdicts and the relative shape
@@ -27,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/litmus"
+	"repro/internal/model"
 	"repro/internal/staterobust"
 )
 
@@ -82,9 +84,9 @@ func main() {
 			mismatches++
 			r.res += " (MISMATCH vs paper)"
 		}
-		if *withTSO && !e.Big && e.Name != "nbw-w-lr-rl" {
+		if *withTSO && !e.Big {
 			start := time.Now()
-			res, err := staterobust.CheckTSO(p, staterobust.Limits{MaxStates: 30_000_000, TSOBufCap: 4})
+			res, err := model.CheckTSO(p, staterobust.Limits{MaxStates: 30_000_000, TSOBufCap: 4, Reduce: true})
 			switch {
 			case err != nil:
 				r.tsoRes = "-"

@@ -303,7 +303,7 @@ func loadProgram(corpusName string) *lang.Program {
 
 // matrixDefaultMax bounds each matrix cell when -max is unset: large
 // enough for every feasible corpus row under every mode, small enough
-// that a pathological product (nbw-w-lr-rl under the TSO modes) degrades
+// that a pathological product (nbw-w-lr-rl under state-tso) degrades
 // to a "bound" cell instead of hanging the table.
 const matrixDefaultMax = 2_000_000
 

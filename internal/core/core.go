@@ -432,7 +432,7 @@ func Verify(program *lang.Program, opts Options) (*Verdict, error) {
 				// program's thread names. Later violations (with
 				// KeepAllViolations) stay canonical: each names a thread of
 				// the same class, which is truthful by symmetry.
-				viol = concretizeViolation(viol, red.concretize(verdict.Trace))
+				viol = concretizeViolation(viol, explore.Concretize(verdict.Trace, red.nT))
 			}
 		}
 		verdict.Violations = append(verdict.Violations, viol)
@@ -545,7 +545,7 @@ func Verify(program *lang.Program, opts Options) (*Verdict, error) {
 				verdict.Robust = false
 				verdict.Trace = append(store.Trace(item.ID), step)
 				if red != nil && red.symm() {
-					red.concretize(verdict.Trace)
+					explore.Concretize(verdict.Trace, red.nT)
 					af := *afail
 					af.Tid = verdict.Trace[len(verdict.Trace)-1].Tid
 					afail = &af
@@ -568,7 +568,7 @@ func Verify(program *lang.Program, opts Options) (*Verdict, error) {
 				if !requeued {
 					ws.cSym++
 				}
-				step.Perm = packPerm(ws.perm)
+				step.Perm = explore.PackPerm(ws.perm)
 				cz = permuteMask(cz, ws.perm)
 				ws.keyBuf = ws.keyBuf[:0]
 				ws.keyBuf = v.p.EncodeStatePerm(ws.keyBuf, ws.cur, ws.perm)

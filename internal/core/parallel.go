@@ -214,7 +214,7 @@ func verifyParallel(program *lang.Program, opts Options) (*Verdict, error) {
 				if !requeued {
 					ws.cSym++
 				}
-				step.Perm = packPerm(ws.perm)
+				step.Perm = explore.PackPerm(ws.perm)
 				cz = permuteMask(cz, ws.perm)
 				ws.keyBuf = ws.keyBuf[:0]
 				ws.keyBuf = v.p.EncodeStatePerm(ws.keyBuf, ws.cur, ws.perm)
@@ -261,7 +261,7 @@ func verifyParallel(program *lang.Program, opts Options) (*Verdict, error) {
 		verdict.Robust = false
 		verdict.Trace = append(store.Trace(assertID), assertStep)
 		if red != nil && red.symm() {
-			red.concretize(verdict.Trace)
+			explore.Concretize(verdict.Trace, red.nT)
 			af := *assertFail
 			af.Tid = verdict.Trace[len(verdict.Trace)-1].Tid
 			assertFail = &af
@@ -276,7 +276,7 @@ func verifyParallel(program *lang.Program, opts Options) (*Verdict, error) {
 				// violations[0] is the one violID was recorded for; later
 				// ones (KeepAllViolations) stay canonical, which symmetry
 				// keeps truthful.
-				violations[0] = concretizeViolation(violations[0], red.concretize(verdict.Trace))
+				violations[0] = concretizeViolation(violations[0], explore.Concretize(verdict.Trace, red.nT))
 			}
 		}
 		verdict.Violations = violations

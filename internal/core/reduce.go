@@ -43,8 +43,9 @@ package core
 //     sorted by their full per-thread content (program block, then the
 //     thread-indexed monitor words) — collapsing each orbit to one
 //     representative. The applied permutation is packed into the trace
-//     step, and counterexample traces are concretized back into runs of
-//     the original program by composing the per-step permutations.
+//     step (explore.PackPerm), and counterexample traces are concretized
+//     back into runs of the original program by composing the per-step
+//     permutations (explore.Concretize).
 
 import (
 	"fmt"
@@ -59,10 +60,9 @@ import (
 	"repro/internal/scm"
 )
 
-// maxSymThreads bounds thread-symmetry reduction: a permutation packs into
-// explore.Step.Perm as 4-bit slots under a flag bit, so up to 7 threads fit
-// a uint32. Programs with more threads still get ample and sleep sets.
-const maxSymThreads = 7
+// maxSymThreads bounds thread-symmetry reduction (explore.PackPerm).
+// Programs with more threads still get ample and sleep sets.
+const maxSymThreads = explore.MaxPermThreads
 
 // maxSleepThreads bounds sleep-set reduction (per-state uint64 masks).
 const maxSleepThreads = 64
@@ -239,27 +239,9 @@ func childSleep(ops []prog.MemOp, t int, base uint64) uint64 {
 // successor state (ps, ms): within every class, member slots are sorted by
 // the threads' full per-thread content — the program block first, then the
 // thread-indexed monitor words (ms is nil in the SC-only explorer, which
-// has no monitor). Two threads comparing equal have identical per-thread
-// content everywhere, so any tie order yields the same encoding. Reports
-// whether the result is the identity.
+// has no monitor). Reports whether the result is the identity.
 func (r *reducer) canonPerm(ps prog.State, ms *scm.State, perm []uint8) bool {
-	for i := range perm {
-		perm[i] = uint8(i)
-	}
-	identity := true
-	for _, cls := range r.classes {
-		for i := 1; i < len(cls); i++ {
-			for j := i; j > 0; j-- {
-				a, b := perm[cls[j-1]], perm[cls[j]]
-				if r.cmpThreads(ps, ms, int(a), int(b)) <= 0 {
-					break
-				}
-				perm[cls[j-1]], perm[cls[j]] = b, a
-				identity = false
-			}
-		}
-	}
-	return identity
+	return explore.SortPerm(r.classes, perm, func(a, b int) int { return r.cmpThreads(ps, ms, a, b) })
 }
 
 func (r *reducer) cmpThreads(ps prog.State, ms *scm.State, a, b int) int {
@@ -272,24 +254,6 @@ func (r *reducer) cmpThreads(ps prog.State, ms *scm.State, a, b int) int {
 	return 0
 }
 
-// packPerm packs a (non-identity) thread permutation into an
-// explore.Step.Perm: bit 31 flags presence, slot i occupies bits 4i..4i+3.
-func packPerm(perm []uint8) uint32 {
-	p := uint32(1) << 31
-	for i, v := range perm {
-		p |= uint32(v) << (4 * i)
-	}
-	return p
-}
-
-// unpackPerm reverses packPerm into dst[:n].
-func unpackPerm(p uint32, n int, dst []uint8) []uint8 {
-	for i := 0; i < n; i++ {
-		dst[i] = uint8(p >> (4 * i) & 0xf)
-	}
-	return dst[:n]
-}
-
 // permuteMask carries a thread mask into canonical coordinates: canonical
 // slot i corresponds to pre-canonicalization thread perm[i].
 func permuteMask(m uint64, perm []uint8) uint64 {
@@ -298,38 +262,6 @@ func permuteMask(m uint64, perm []uint8) uint64 {
 		out |= (m >> p & 1) << i
 	}
 	return out
-}
-
-// concretize rewrites a canonical-quotient trace, in place, into a run of
-// the original program: each step's thread id is mapped through the
-// composed permutation of the states before it, and the per-step
-// permutations are cleared. It returns the final slot-to-thread map, for
-// remapping thread ids recorded at the trace's last state (violations,
-// assertion failures).
-func (r *reducer) concretize(trace []explore.Step) []uint8 {
-	sigma := make([]uint8, r.nT)
-	for i := range sigma {
-		sigma[i] = uint8(i)
-	}
-	if !r.symm() {
-		return sigma
-	}
-	var pbuf, ns [maxSymThreads]uint8
-	for k := range trace {
-		st := &trace[k]
-		if st.Internal == explore.IntNone {
-			st.Tid = lang.Tid(sigma[st.Tid])
-		}
-		if st.Perm != 0 {
-			p := unpackPerm(st.Perm, r.nT, pbuf[:])
-			for i := 0; i < r.nT; i++ {
-				ns[i] = sigma[p[i]]
-			}
-			copy(sigma, ns[:r.nT])
-			st.Perm = 0
-		}
-	}
-	return sigma
 }
 
 // concretizeViolation returns viol with its thread ids mapped through

@@ -31,6 +31,12 @@
 //     never count more states. The comparison is skipped when either run
 //     hits the store-buffer capacity: both truncations under-approximate
 //     and the subset relation between them is no longer a theorem.
+//   - Thread symmetry under TSO: with a copy of one thread appended, so
+//     that two threads are interchangeable, model.CheckTSO with
+//     Limits.Reduce (the compound states folded) must match the unfolded
+//     product in verdict, projection counts, witness length and buffer
+//     bound, never explore more states than it or than the run with
+//     Reduce off, and produce a witness that replays.
 //   - Metamorphic fence insertion (§6, internal/fence): at the *state*
 //     robustness level, inserting an SC fence can only remove weak
 //     behaviours, so it never flips robust to non-robust. Note this is
@@ -510,6 +516,11 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 				}
 			}
 		}
+		if instOK {
+			checkTSOSymmetry(r, p, tsoLim)
+		} else {
+			r.skip("tso-symmetry") // the copy only adds states
+		}
 	}
 
 	// Metamorphic no-op insertion: a private FADD(g, 0) must leave the
@@ -533,6 +544,84 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 	// Metamorphic fence insertion, at the level where it is a theorem.
 	if !cfg.SkipRA {
 		checkFenceMonotone(r, p, src, cfg)
+	}
+}
+
+// unfolded hides a machine's thread symmetry, so model.CheckState explores
+// its product unfolded while Limits.Reduce still folds the projections.
+type unfolded struct{ model.MemoryModel }
+
+func (u unfolded) Symmetry([][]int) model.ThreadPerm { return nil }
+func (u unfolded) Fork() model.MemoryModel           { return unfolded{u.MemoryModel.Fork()} }
+
+// checkTSOSymmetry checks symmetry folding in mode tso. Generated programs
+// almost never have interchangeable threads, so it appends a copy of the
+// program's first delayer candidate (of thread 0 when there is none) and
+// runs CheckTSO on the result with Limits.Reduce on and off. The folded
+// run must match the unfolded product with folded projections exactly in
+// verdict, SCStates, WeakStates, witness length and BufBoundHit, and
+// explore no more states. The run with Reduce off counts raw projections,
+// so against it the counts may only shrink; the verdict, witness length
+// and BufBoundHit must still agree. A folded witness must replay. A run
+// over the state bound is a skip.
+func checkTSOSymmetry(r *Report, p *lang.Program, lim staterobust.Limits) {
+	if len(p.Threads) >= explore.MaxPermThreads {
+		return // the copy would leave nothing to fold
+	}
+	twin := cloneProgram(p)
+	cands := model.DelayerCandidates(p)
+	copyOf := 0
+	if len(cands) > 0 {
+		copyOf = int(cands[0])
+	}
+	th := p.Threads[copyOf]
+	th.Name += "_twin"
+	twin.Threads = append(twin.Threads, th)
+	src := parser.Format(twin)
+	check := func(name string, run func() (*staterobust.Result, error)) (*staterobust.Result, bool) {
+		res, err := run()
+		if err != nil {
+			if errors.Is(err, staterobust.ErrBound) {
+				r.skip(name)
+			} else {
+				r.addf("engine-error", src, "%s: %v", name, err)
+			}
+			return nil, false
+		}
+		return res, true
+	}
+	lim.Reduce = true
+	on, ok := check("tso-symmetry", func() (*staterobust.Result, error) { return model.CheckTSO(twin, lim) })
+	if !ok {
+		return
+	}
+	if !on.Robust {
+		if err := model.ReplayTSO(twin, on.WitnessTrace, lim); err != nil {
+			if errors.Is(err, staterobust.ErrBound) {
+				r.skip("witness-replay-tso-symmetry")
+			} else {
+				r.addf("tso-symmetry", src, "folded witness does not replay: %v", err)
+			}
+		}
+	}
+	summary := func(x *staterobust.Result) string {
+		return fmt.Sprintf("robust=%v explored=%d sc=%d weak=%d trace=%d bufcap=%v",
+			x.Robust, x.Explored, x.SCStates, x.WeakStates, len(x.WitnessTrace), x.BufBoundHit)
+	}
+	if tcands := model.DelayerCandidates(twin); len(tcands) > 0 {
+		plain, ok := check("tso-symmetry", func() (*staterobust.Result, error) {
+			return model.CheckState(twin, unfolded{model.NewTSOLazy(twin, lim.TSOBufCap, tcands)}, lim)
+		})
+		if ok && (on.Robust != plain.Robust || on.SCStates != plain.SCStates || on.WeakStates != plain.WeakStates ||
+			len(on.WitnessTrace) != len(plain.WitnessTrace) || on.BufBoundHit != plain.BufBoundHit || on.Explored > plain.Explored) {
+			r.addf("tso-symmetry", src, "folded %s, unfolded product %s", summary(on), summary(plain))
+		}
+	}
+	lim.Reduce = false
+	off, ok := check("tso-symmetry", func() (*staterobust.Result, error) { return model.CheckTSO(twin, lim) })
+	if ok && (on.Robust != off.Robust || len(on.WitnessTrace) != len(off.WitnessTrace) || on.BufBoundHit != off.BufBoundHit ||
+		on.Explored > off.Explored || on.SCStates > off.SCStates || on.WeakStates > off.WeakStates) {
+		r.addf("tso-symmetry", src, "folded %s, Reduce off %s", summary(on), summary(off))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/litmus"
 	"repro/internal/parser"
+	"repro/internal/staterobust"
 )
 
 // The battery must be clean on the whole embedded corpus: these programs
@@ -153,5 +154,23 @@ func TestNoopRMWMutant(t *testing.T) {
 	// The original must be untouched.
 	if got := parser.Format(p); !strings.Contains(got, "goto") || strings.Contains(got, "FADD") {
 		t.Errorf("original program mutated:\n%s", got)
+	}
+}
+
+// The tso-symmetry leg must decide store buffering with a twin of its
+// first delayer appended — non-robust, so the folded witness is replayed
+// too — without a finding or a skip.
+func TestTSOSymmetryLeg(t *testing.T) {
+	e, err := litmus.Get("SB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Report{}
+	checkTSOSymmetry(r, e.Program(), staterobust.Limits{MaxStates: 10_000, Workers: 1})
+	for _, f := range r.Findings {
+		t.Errorf("finding: %v", f)
+	}
+	if len(r.Skipped) > 0 {
+		t.Errorf("skipped: %v", r.Skipped)
 	}
 }

@@ -36,17 +36,95 @@ func (k Internal) String() string {
 // Step is one transition of a run: a thread performing a labelled action.
 // Internal actions (e.g. TSO flushes) set Internal to a non-IntNone tag.
 //
-// Perm, when nonzero, is the packed thread-symmetry permutation the
-// partial-order reduction applied when canonicalizing the step's *target*
-// state (packed and interpreted by internal/core; 0 = identity, so
-// non-reduced explorers never touch it). Trace reconstruction composes
-// these per-step permutations to concretize a canonical-quotient trace
-// back into a run of the original program.
+// Perm, when nonzero, is the packed thread-symmetry permutation (PackPerm)
+// a symmetry-reduced explorer applied when canonicalizing the step's
+// *target* state (0 = identity, so non-reduced explorers never touch it).
+// Concretize composes these per-step permutations to turn a
+// canonical-quotient trace back into a run of the original program.
 type Step struct {
 	Tid      lang.Tid
 	Lab      lang.Label
 	Internal Internal
 	Perm     uint32
+}
+
+// MaxPermThreads bounds thread-symmetry reduction: a permutation packs
+// into Step.Perm as 4-bit slots under a flag bit, so up to 7 threads fit
+// a uint32. Explorers fold no symmetry on programs with more threads.
+const MaxPermThreads = 7
+
+// PackPerm packs a (non-identity) thread permutation of at most
+// MaxPermThreads threads into a Step.Perm: bit 31 flags presence, slot i
+// occupies bits 4i..4i+3. Slot i of the canonical state holds what thread
+// perm[i] held before canonicalization.
+func PackPerm(perm []uint8) uint32 {
+	p := uint32(1) << 31
+	for i, v := range perm {
+		p |= uint32(v) << (4 * i)
+	}
+	return p
+}
+
+// SortPerm fills perm with the thread permutation that canonicalizes a
+// state under thread symmetry: within every class, member slots are
+// insertion-sorted (classes are tiny) by cmp, a total order on the
+// threads' per-thread content that is zero only for identical content,
+// so any tie order yields the same canonical state. Slot i then holds
+// thread perm[i]. Reports whether the result is the identity.
+func SortPerm(classes [][]int, perm []uint8, cmp func(a, b int) int) bool {
+	for i := range perm {
+		perm[i] = uint8(i)
+	}
+	identity := true
+	for _, cls := range classes {
+		for i := 1; i < len(cls); i++ {
+			for j := i; j > 0; j-- {
+				a, b := perm[cls[j-1]], perm[cls[j]]
+				if cmp(int(a), int(b)) <= 0 {
+					break
+				}
+				perm[cls[j-1]], perm[cls[j]] = b, a
+				identity = false
+			}
+		}
+	}
+	return identity
+}
+
+// unpackPerm reverses PackPerm into dst[:n].
+func unpackPerm(p uint32, n int, dst []uint8) []uint8 {
+	for i := 0; i < n; i++ {
+		dst[i] = uint8(p >> (4 * i) & 0xf)
+	}
+	return dst[:n]
+}
+
+// Concretize rewrites a canonical-quotient trace of an n-thread program,
+// in place, into a run of the original program: each step's thread id —
+// program, ε and flush steps alike — is mapped through the composed
+// permutation of the states before it, and the per-step permutations are
+// cleared. It returns the final slot-to-thread map, for remapping thread
+// ids recorded at the trace's last state (violations, assertion
+// failures). A trace without permutations is left as it is.
+func Concretize(trace []Step, n int) []uint8 {
+	sigma := make([]uint8, n)
+	for i := range sigma {
+		sigma[i] = uint8(i)
+	}
+	var pbuf, ns [MaxPermThreads]uint8
+	for k := range trace {
+		st := &trace[k]
+		st.Tid = lang.Tid(sigma[st.Tid])
+		if st.Perm != 0 {
+			p := unpackPerm(st.Perm, n, pbuf[:])
+			for i := 0; i < n; i++ {
+				ns[i] = sigma[p[i]]
+			}
+			copy(sigma, ns[:n])
+			st.Perm = 0
+		}
+	}
+	return sigma
 }
 
 // grown returns s with room to append at least one more element, doubling

@@ -111,3 +111,27 @@ func TestQueueFIFO(t *testing.T) {
 		t.Fatalf("drained queue has Len %d", q.Len())
 	}
 }
+
+// TestConcretize composes per-step permutations: every step's thread,
+// internal steps included, is mapped through the permutations of the
+// states before it, and the permutations are cleared.
+func TestConcretize(t *testing.T) {
+	swap01 := explore.PackPerm([]uint8{1, 0, 2})
+	rot := explore.PackPerm([]uint8{2, 0, 1})
+	trace := []explore.Step{
+		{Tid: 0, Perm: swap01},             // slot 0 is thread 0; then slots 0,1 swap
+		{Tid: 0, Internal: explore.IntEps}, // slot 0 now holds thread 1
+		{Tid: 2, Internal: explore.IntFlush, Perm: rot},
+		{Tid: 0}, // slot 0 holds what slot 2 held: thread 2
+	}
+	sigma := explore.Concretize(trace, 3)
+	want := []lang.Tid{0, 1, 2, 2}
+	for i, st := range trace {
+		if st.Tid != want[i] || st.Perm != 0 {
+			t.Errorf("step %d: tid %d perm %#x, want tid %d perm 0", i, st.Tid, st.Perm, want[i])
+		}
+	}
+	if sigma[0] != 2 || sigma[1] != 1 || sigma[2] != 0 {
+		t.Errorf("final map = %v, want [2 1 0]", sigma)
+	}
+}

@@ -16,7 +16,9 @@
 package memtso
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/lang"
 )
@@ -120,12 +122,40 @@ func (s *State) Encode(dst []byte) []byte {
 		dst = append(dst, byte(v))
 	}
 	for _, b := range s.Bufs {
-		dst = binary.AppendUvarint(dst, uint64(len(b)))
-		for _, e := range b {
-			dst = append(dst, byte(e.Loc), byte(e.Val))
-		}
+		dst = appendBuf(dst, b)
 	}
 	return dst
+}
+
+// EncodePerm is Encode with the buffers in permuted order: slot i of the
+// encoding carries thread perm[i]'s buffer.
+func (s *State) EncodePerm(dst []byte, perm []uint8) []byte {
+	for _, v := range s.Mem {
+		dst = append(dst, byte(v))
+	}
+	for _, t := range perm {
+		dst = appendBuf(dst, s.Bufs[t])
+	}
+	return dst
+}
+
+func appendBuf(dst []byte, b []BufEntry) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	for _, e := range b {
+		dst = append(dst, byte(e.Loc), byte(e.Val))
+	}
+	return dst
+}
+
+// CmpBufs totally orders the buffers of threads a and b: zero means they
+// hold the same entries in the same order.
+func (s *State) CmpBufs(a, b lang.Tid) int {
+	return slices.CompareFunc(s.Bufs[a], s.Bufs[b], func(x, y BufEntry) int {
+		if x.Loc != y.Loc {
+			return cmp.Compare(x.Loc, y.Loc)
+		}
+		return cmp.Compare(x.Val, y.Val)
+	})
 }
 
 // Decode overwrites s, which must have the encoded state's numbers of

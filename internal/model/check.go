@@ -35,6 +35,18 @@ import (
 // the level-complete count too: ErrBound exactly when some explored level
 // ends above it.
 //
+// With lim.Reduce, a program of at most explore.MaxPermThreads threads
+// with interchangeable threads (prog.SymClasses), and a machine whose
+// Symmetry is non-nil, every successor is folded before interning:
+// within each class the members are sorted by their raw program block,
+// then by their per-thread memory content, and the same permutation is
+// applied to both parts, recorded in the step's Perm. The canonical form
+// depends on the state alone, so the counts stay schedule-independent.
+// Every orbit is represented at the BFS depth of its shallowest member,
+// so the verdict, SCStates, WeakStates, BufBoundHit and the witness
+// length are those of the unfolded product; only Explored drops. The
+// witness is concretized back into a run of the original program.
+//
 // The frontier carries store ids only: each state is decoded from its
 // key, the raw program state followed by mm's encoding.
 func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (*staterobust.Result, error) {
@@ -45,12 +57,25 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 	p := prog.New(program)
 	store := explore.NewSharded(false)
 	weak := explore.NewSet()
+	nT := len(p.Threads)
+	var (
+		classes [][]int    // the folded symmetry classes (nil: no folding)
+		tp      ThreadPerm // mm's per-thread view, when folding
+	)
+	if lim.Reduce && nT <= explore.MaxPermThreads {
+		if cls := prog.SymClasses(program); cls != nil {
+			if tp = mm.Symmetry(cls); tp != nil {
+				classes = cls
+			}
+		}
+	}
 	type worker struct {
 		mm       MemoryModel
 		pj       *staterobust.Projector
 		cur, key []byte
 		ps, nxt  prog.State
 		succs    []Succ
+		perm     []uint8
 	}
 	ws := make([]*worker, lim.WorkerCount())
 	for w := range ws {
@@ -58,9 +83,27 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 		if w > 0 {
 			wm = mm.Fork()
 		}
-		ws[w] = &worker{mm: wm, pj: staterobust.NewProjector(p, lim), ps: p.InitStateRaw(), nxt: p.InitStateRaw()}
+		ws[w] = &worker{mm: wm, pj: staterobust.NewProjector(p, lim), ps: p.InitStateRaw(), nxt: p.InitStateRaw(), perm: make([]uint8, nT)}
 	}
 	n := ws[0].pj.Len()
+
+	// fold canonicalizes the successor (ps, m) under the folded classes:
+	// it returns 0 when the successor is its orbit's representative
+	// already (or nothing is folded), and otherwise sets wk.key to the
+	// representative and returns the packed permutation. Members sort by
+	// raw program block, then by memory content.
+	fold := func(wk *worker, ps prog.State, m State) uint32 {
+		if classes == nil || explore.SortPerm(classes, wk.perm, func(a, b int) int {
+			if c := p.CmpThreadsRaw(ps, a, b); c != 0 {
+				return c
+			}
+			return tp.CmpThreads(m, a, b)
+		}) {
+			return 0
+		}
+		wk.key = tp.EncodePerm(p.EncodeStateRawPerm(wk.key[:0], ps, wk.perm), m, wk.perm)
+		return explore.PackPerm(wk.perm)
+	}
 
 	var (
 		mu        sync.Mutex
@@ -113,15 +156,21 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 				if th.StepEpsInto(ts, &wk.nxt.Threads[t]) != nil {
 					break // a failed assert has no successors
 				}
-				wk.key = append(p.EncodeStateRaw(wk.key[:0], wk.nxt), mem...)
-				add(wk, id, explore.Step{Tid: tid, Internal: explore.IntEps}, true, push)
+				step := explore.Step{Tid: tid, Internal: explore.IntEps}
+				if step.Perm = fold(wk, wk.nxt, m); step.Perm == 0 {
+					wk.key = append(p.EncodeStateRaw(wk.key[:0], wk.nxt), mem...)
+				}
+				add(wk, id, step, true, push)
 			default:
 				wk.succs = wk.mm.Steps(wk.succs[:0], m, tid, th.Op(ts))
 				for _, s := range wk.succs {
 					wk.mm.Canon(s.M)
 					th.ApplyRawInto(ts, s.Lab, &wk.nxt.Threads[t])
-					wk.key = s.M.Encode(p.EncodeStateRaw(wk.key[:0], wk.nxt))
-					add(wk, id, explore.Step{Tid: tid, Lab: s.Lab}, true, push)
+					step := explore.Step{Tid: tid, Lab: s.Lab}
+					if step.Perm = fold(wk, wk.nxt, s.M); step.Perm == 0 {
+						wk.key = s.M.Encode(p.EncodeStateRaw(wk.key[:0], wk.nxt))
+					}
+					add(wk, id, step, true, push)
 				}
 			}
 			wk.nxt.Threads[t].PC = ts.PC
@@ -133,8 +182,11 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 			wk.succs = wk.mm.Internal(wk.succs[:0], m, tid)
 			for _, s := range wk.succs {
 				wk.mm.Canon(s.M)
-				wk.key = s.M.Encode(append(wk.key[:0], wk.cur[:n]...))
-				add(wk, id, explore.Step{Tid: tid, Internal: explore.IntFlush}, false, push)
+				step := explore.Step{Tid: tid, Internal: explore.IntFlush}
+				if step.Perm = fold(wk, wk.ps, s.M); step.Perm == 0 {
+					wk.key = s.M.Encode(append(wk.key[:0], wk.cur[:n]...))
+				}
+				add(wk, id, step, false, push)
 			}
 		}
 		return true
@@ -165,6 +217,7 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 	}
 	if witness != nil {
 		res.WitnessTrace = store.Trace(witnessID)
+		explore.Concretize(res.WitnessTrace, nT)
 	}
 	return res, nil
 }

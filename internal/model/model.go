@@ -13,7 +13,9 @@
 //     Internal);
 //   - canonicalize: the state normalization that keeps the product finite
 //     and collapses equivalent states (Canon — timestamp renumbering for
-//     RA/SRA, a no-op for SC and TSO);
+//     RA/SRA, a no-op for SC and TSO), and the per-thread view under which
+//     CheckState folds thread symmetry (Symmetry — SC and TSO; RA and SRA
+//     are not folded);
 //   - robustness-monitor: how non-SC behavior is detected on top of the
 //     reachable states. For the state models the monitor is generic — the
 //     program-state projection of every reached product state is compared
@@ -92,6 +94,24 @@ type MemoryModel interface {
 	// Fork returns a fresh instance of the same machine, with scratch of
 	// its own and BoundHit false, for another concurrent worker.
 	Fork() MemoryModel
+	// Symmetry returns the machine's per-thread view for folding thread
+	// symmetry, or nil when the machine does not treat the members of
+	// every class (prog.SymClasses) interchangeably — when permuting a
+	// class's threads together with their per-thread memory content
+	// does not map runs to runs. CheckState folds only when it is non-nil.
+	Symmetry(classes [][]int) ThreadPerm
+}
+
+// ThreadPerm is a machine's per-thread view for thread-symmetry folding.
+// It keeps no scratch, so all workers may share one.
+type ThreadPerm interface {
+	// CmpThreads totally orders threads a and b of one class by their
+	// per-thread content in m (a TSO store buffer; nothing under SC). A
+	// zero result means swapping them changes no byte of m's encoding.
+	CmpThreads(m State, a, b int) int
+	// EncodePerm is m.Encode with the per-thread content permuted: slot i
+	// of the encoding carries thread perm[i]'s.
+	EncodePerm(dst []byte, m State, perm []uint8) []byte
 }
 
 // ---------------------------------------------------------------- SC ----
@@ -138,6 +158,14 @@ func (mm *scModel) Internal(dst []Succ, ms State, tid lang.Tid) []Succ { return 
 func (mm *scModel) Canon(State)                                        {}
 func (mm *scModel) BoundHit() bool                                     { return false }
 func (mm *scModel) Fork() MemoryModel                                  { return &scModel{numLocs: mm.numLocs, valCount: mm.valCount} }
+
+// SC memory is indexed by location only: it holds no per-thread content.
+func (mm *scModel) Symmetry([][]int) ThreadPerm { return scPerm{} }
+
+type scPerm struct{}
+
+func (scPerm) CmpThreads(State, int, int) int                   { return 0 }
+func (scPerm) EncodePerm(dst []byte, m State, _ []uint8) []byte { return m.Encode(dst) }
 
 // --------------------------------------------------------------- TSO ----
 
@@ -304,6 +332,32 @@ func (mm *tsoModel) Internal(dst []Succ, ms State, tid lang.Tid) []Succ {
 func (mm *tsoModel) Canon(State)    {}
 func (mm *tsoModel) BoundHit() bool { return mm.boundHit }
 
+// Symmetry: a thread's store buffer moves with it. The lazy machine is
+// symmetric when its delayer set is a union of classes, which
+// DelayerCandidates' syntactic filter guarantees.
+func (mm *tsoModel) Symmetry(classes [][]int) ThreadPerm {
+	if mm.lazySet != nil {
+		for _, cls := range classes {
+			for _, t := range cls[1:] {
+				if mm.lazySet[t] != mm.lazySet[cls[0]] {
+					return nil
+				}
+			}
+		}
+	}
+	return tsoPerm{}
+}
+
+type tsoPerm struct{}
+
+func (tsoPerm) CmpThreads(m State, a, b int) int {
+	return m.(*tsoState).m.CmpBufs(lang.Tid(a), lang.Tid(b))
+}
+
+func (tsoPerm) EncodePerm(dst []byte, m State, perm []uint8) []byte {
+	return m.(*tsoState).m.EncodePerm(dst, perm)
+}
+
 // ------------------------------------------------------------ RA/SRA ----
 
 type raState struct{ m *memra.State }
@@ -443,3 +497,7 @@ func (mm *raModel) Internal(dst []Succ, ms State, tid lang.Tid) []Succ { return 
 func (mm *raModel) Canon(ms State) { ms.(*raState).m.Canonicalize(mm.gapCap) }
 
 func (mm *raModel) BoundHit() bool { return false }
+
+// Symmetry: the timestamp machine is not folded (its views are
+// thread-indexed and canonicalized by Canon alone).
+func (mm *raModel) Symmetry([][]int) ThreadPerm { return nil }

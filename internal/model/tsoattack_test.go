@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -21,11 +22,6 @@ func TestTSOAttackCorpusParity(t *testing.T) {
 			continue
 		}
 		switch e.Name {
-		case "nbw-w-lr-rl":
-			// >30M compound states under either checker (the SC backbone
-			// alone is out of reach); skipped exactly as in the exhaustive
-			// checker's TestTSOVerdicts.
-			continue
 		case "rcu", "rcu-offline", "seqlock", "lamport2-ra":
 			if testing.Short() {
 				continue
@@ -131,7 +127,7 @@ func TestTSOWorkerIndependence(t *testing.T) {
 			continue
 		}
 		switch e.Name {
-		case "seqlock", "rcu", "nbw-w-lr-rl":
+		case "seqlock", "rcu":
 			if testing.Short() {
 				continue
 			}
@@ -159,6 +155,33 @@ func TestTSOWorkerIndependence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTSONoDelayer pins the no-candidate path: a program in which no
+// thread can delay is robust with no exploration at all — nbw-w-lr-rl,
+// whose SC backbone alone exceeds 2M states, answers at once — and a
+// cancelled context still yields ErrCanceled, never a verdict.
+func TestTSONoDelayer(t *testing.T) {
+	e, err := litmus.Get("nbw-w-lr-rl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := e.Program()
+	if c := DelayerCandidates(p); len(c) != 0 {
+		t.Fatalf("nbw-w-lr-rl candidates = %v, want none", c)
+	}
+	res, err := CheckTSO(p, staterobust.Limits{MaxStates: 1})
+	if err != nil {
+		t.Fatalf("CheckTSO: %v", err)
+	}
+	if !res.Robust || res.Explored != 0 || res.SCStates != 0 || res.WeakStates != 0 {
+		t.Errorf("CheckTSO = %+v, want robust with nothing explored", *res)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := CheckTSO(p, staterobust.Limits{Ctx: ctx}); !errors.Is(err, staterobust.ErrCanceled) {
+		t.Errorf("cancelled CheckTSO: err = %v, want ErrCanceled", err)
 	}
 }
 

@@ -2,6 +2,8 @@ package prog
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 
 	"repro/internal/lang"
 )
@@ -172,6 +174,31 @@ func (p *P) CmpThreads(s State, a, b int) int {
 		}
 	}
 	return 0
+}
+
+// CmpThreadsRaw is CmpThreads over the raw register files of
+// EncodeStateRaw: a zero result means the two threads' raw blocks are
+// identical.
+func (p *P) CmpThreadsRaw(s State, a, b int) int {
+	ta, tb := &s.Threads[a], &s.Threads[b]
+	if c := cmp.Compare(ta.PC, tb.PC); c != 0 {
+		return c
+	}
+	return slices.Compare(ta.Regs, tb.Regs)
+}
+
+// EncodeStateRawPerm is EncodeStateRaw emitting the threads in permuted
+// order: slot i of the encoding carries thread perm[i]'s raw block. perm
+// must permute thread indices within symmetry classes only.
+func (p *P) EncodeStateRawPerm(dst []byte, s State, perm []uint8) []byte {
+	for i := range s.Threads {
+		ts := &s.Threads[perm[i]]
+		dst = append(dst, byte(ts.PC), byte(ts.PC>>8))
+		for _, v := range ts.Regs {
+			dst = append(dst, byte(v))
+		}
+	}
+	return dst
 }
 
 // Symmetry bundles a program's symmetry classes with the byte-block

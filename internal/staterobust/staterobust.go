@@ -64,14 +64,17 @@ type Limits struct {
 	// compound states with the running count. It may be invoked from
 	// worker goroutines concurrently and must be cheap and goroutine-safe.
 	Progress func(explored int)
-	// Reduce folds program states related by thread symmetry (permutations
-	// of byte-identical threads, prog.SymClasses) before comparing the SC
-	// and weak reachable sets. The verdict is unchanged — both sets are
-	// closed under the same permutations — but SCStates and WeakStates then
-	// count canonical representatives, not raw program states. Only the
-	// projection sets are folded; the compound-state exploration itself is
-	// not reduced (the weak memories are thread-indexed and are not
-	// canonicalized here).
+	// Reduce folds states related by thread symmetry (permutations of
+	// byte-identical threads, prog.SymClasses). The projection sets are
+	// folded before the SC and weak reachable sets are compared: the
+	// verdict is unchanged — both sets are closed under the same
+	// permutations — but SCStates and WeakStates then count canonical
+	// representatives, not raw program states. The compound states of the
+	// SC backbone (ReachableSC) and of model.CheckState's product with a
+	// symmetric machine (SC, TSO and the lazy single-delayer TSO) are
+	// folded too, which changes nothing but Explored and the run time.
+	// The weak products of CheckRA, CheckSRA and the exhaustive CheckTSO
+	// stay unfolded.
 	Reduce bool
 }
 
@@ -152,8 +155,11 @@ type Result struct {
 	// SCStates and WeakStates count distinct *program* states (not
 	// compound states) reached under each model; with Limits.Reduce they
 	// count canonical representatives under thread symmetry instead.
+	// Both are 0 when model.CheckTSO finds no thread that can delay and
+	// so explores nothing.
 	SCStates, WeakStates int
-	// Explored counts compound states explored under the weak model.
+	// Explored counts compound states explored under the weak model; with
+	// Limits.Reduce, the folded ones where the explorer folds symmetry.
 	Explored int
 	// BufBoundHit reports that a TSO write was ever inhibited by the
 	// buffer capacity; if false, the bound provably did not limit the
@@ -204,8 +210,12 @@ func (pj *Projector) Key(key []byte) []byte {
 // It runs on explore.RunLevels with lim.Workers workers. The visited set
 // carries no trace links and the frontier only ids: each state is decoded
 // from its key, the raw program state followed by one byte per location
-// of SC memory. The returned set is safe for concurrent Has calls, so the
-// weak explorations probe it from all their workers.
+// of SC memory. With lim.Reduce the program-state prefix of every key is
+// canonicalized under thread symmetry before interning: SC memory is
+// indexed by location, so permuting interchangeable threads is an
+// automorphism of the product, and one state per orbit reaches the same
+// projection set. The returned set is safe for concurrent Has calls, so
+// the weak explorations probe it from all their workers.
 func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 	p := prog.New(program)
 	seen, reach := explore.NewSet(), explore.NewSet()
@@ -219,12 +229,16 @@ func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 		ws[w] = &worker{pj: NewProjector(p, lim), ps: p.InitStateRaw(), nxt: p.InitStateRaw()}
 	}
 	n := ws[0].pj.Len()
-	// add interns the successor in wk.nxt (with memory mem) and queues it
-	// when new.
+	// add interns the successor in wk.nxt (with memory mem), folded to its
+	// orbit's representative, and queues it when new. The folded prefix
+	// is the state's projection key.
 	add := func(wk *worker, mem []byte, push func(int64)) {
 		wk.key = append(p.EncodeStateRaw(wk.key[:0], wk.nxt), mem...)
+		if wk.pj.sy != nil {
+			wk.pj.sy.CanonRaw(wk.key[:n])
+		}
 		if id, isNew := seen.Add(wk.key); isNew {
-			reach.Add(wk.pj.Key(wk.key))
+			reach.Add(wk.key[:n])
 			push(id)
 		}
 	}
