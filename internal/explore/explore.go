@@ -21,6 +21,10 @@ const (
 	IntNone  Internal = iota
 	IntEps            // explicit ε-transition (the ε-granular explorers)
 	IntFlush          // TSO store-buffer flush
+	// IntFused marks a stored trace link that stands for a labelled TSO
+	// store and its flush; the explorer that records it splits it into
+	// those two steps before reporting a trace.
+	IntFused
 )
 
 func (k Internal) String() string {

@@ -13,16 +13,24 @@ import (
 type LevelExpand func(w int, id int64, push func(int64)) bool
 
 // levelChunk is the number of frontier ids a worker claims at a time; the
-// context is polled and progress accounted once per chunk. A level no
-// longer than two chunks is expanded on the calling goroutine, so small
-// explorations never start a worker.
-const levelChunk = 32
+// context is polled and progress accounted once per chunk. A level of at
+// most seqLevel ids is expanded on the calling goroutine alone: it takes
+// about as long as waking another worker, which the level would then
+// wait for.
+const (
+	levelChunk = 32
+	seqLevel   = 8 * levelChunk
+)
 
 // RunLevels explores breadth-first, one level at a time: every state of
 // level d is expanded, by up to workers goroutines (0 or negative:
 // GOMAXPROCS), before any state of level d+1. The frontier holds bare
-// store ids; expand re-materializes each state from its key. The caller
-// interns the roots before calling.
+// store ids; expand re-materializes each state from its key. Level d is
+// the successors pushed while expanding level d-1 followed by roots[d],
+// so a caller can resume a search with states it met on earlier levels of
+// another one, each at its own depth. The caller interns the roots before
+// calling, and the search runs until the frontier is empty and no roots
+// are left.
 //
 // After each level, more (when non-nil) decides whether to go on. When it
 // is asked, the level's successors are all interned, so whatever the
@@ -35,7 +43,7 @@ const levelChunk = 32
 // RunLevels returns false when the search was aborted — by expand or by
 // opts.Ctx, observed between chunks — and true when the frontier was
 // exhausted or more returned false.
-func RunLevels(workers int, roots []int64, expand LevelExpand, more func() bool, opts RunOpts) bool {
+func RunLevels(workers int, roots [][]int64, expand LevelExpand, more func() bool, opts RunOpts) bool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -47,7 +55,7 @@ func RunLevels(workers int, roots []int64, expand LevelExpand, more func() bool,
 		stop     atomic.Bool
 		cursor   atomic.Int64
 		expanded atomic.Int64
-		level    = append([]int64(nil), roots...)
+		level    []int64
 		next     []int64
 	)
 	type worker struct {
@@ -85,20 +93,22 @@ func RunLevels(workers int, roots []int64, expand LevelExpand, more func() bool,
 		}
 	}
 	var wg sync.WaitGroup
-	for len(level) > 0 {
+	for d := 0; len(level) > 0 || d < len(roots); d++ {
+		if d < len(roots) {
+			level = append(level, roots[d]...)
+		}
 		cursor.Store(0)
-		if workers == 1 || len(level) <= 2*levelChunk {
-			work(0)
-		} else {
-			for w := 0; w < workers; w++ {
+		if workers > 1 && len(level) > seqLevel {
+			for w := 1; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					work(w)
 				}(w)
 			}
-			wg.Wait()
 		}
+		work(0) // the calling goroutine is worker 0
+		wg.Wait()
 		if stop.Load() {
 			return false
 		}

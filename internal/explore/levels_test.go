@@ -49,9 +49,9 @@ func (g *levelGraph) expand(w int, id int64, push func(int64)) bool {
 	return true
 }
 
-func (g *levelGraph) root() []int64 {
+func (g *levelGraph) root() [][]int64 {
 	id, _ := g.s.Add(g.key(0))
-	return []int64{id}
+	return [][]int64{{id}}
 }
 
 // TestRunLevelsVisitsAllInOrder checks that every state is expanded
@@ -101,6 +101,46 @@ func TestRunLevelsStopsAfterLevel(t *testing.T) {
 		// The successors of the last level are interned, and no more.
 		if want := 1<<(stopDepth+2) - 1; g.s.Len() != want {
 			t.Errorf("workers=%d: %d states interned, want %d", workers, g.s.Len(), want)
+		}
+	}
+}
+
+// TestRunLevelsRoots checks that roots[d] joins the frontier at level d,
+// after the successors of level d-1, even when the frontier ran empty
+// before it, and that the search goes on until no roots are left.
+func TestRunLevelsRoots(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := explore.NewSet()
+		add := func(k int) int64 {
+			id, _ := s.Add(binary.LittleEndian.AppendUint64(nil, uint64(k)))
+			return id
+		}
+		var (
+			mu      sync.Mutex
+			level   int
+			levelOf = map[int]int{}
+		)
+		// State k leads to k+1 while k%10 < 2: chains of three.
+		expand := func(w int, id int64, push func(int64)) bool {
+			k := int(binary.LittleEndian.Uint64(s.AppendKey(nil, id)))
+			mu.Lock()
+			levelOf[k] = level
+			mu.Unlock()
+			if k%10 < 2 {
+				if sid, isNew := s.Add(binary.LittleEndian.AppendUint64(nil, uint64(k+1))); isNew {
+					push(sid)
+				}
+			}
+			return true
+		}
+		roots := [][]int64{{add(0)}, nil, nil, nil, {add(10), add(20)}, nil, {add(30)}}
+		more := func() bool { level++; return true }
+		if !explore.RunLevels(workers, roots, expand, more, explore.RunOpts{}) {
+			t.Fatalf("workers=%d: search reported aborted", workers)
+		}
+		want := map[int]int{0: 0, 1: 1, 2: 2, 10: 4, 11: 5, 12: 6, 20: 4, 21: 5, 22: 6, 30: 6, 31: 7, 32: 8}
+		if fmt.Sprint(levelOf) != fmt.Sprint(want) {
+			t.Errorf("workers=%d: levels %v, want %v", workers, levelOf, want)
 		}
 	}
 }

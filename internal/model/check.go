@@ -21,19 +21,37 @@ import (
 // it explores the ε-granular product of the program with mm (forked once
 // per further worker, see Limits.Workers) and reports a program state not
 // reachable under SC, if any. The Result has staterobust.Result semantics
-// (Explored counts compound states, SCStates/WeakStates count
-// program-state projections, BufBoundHit ORs every worker's
-// mm.BoundHit).
+// (Explored counts compound states, SCStates counts the SC-reachable
+// program-state projections, WeakStates those plus the non-SC ones
+// reached, BufBoundHit ORs every worker's mm.BoundHit).
 //
-// The product is explored breadth-first on explore.RunLevels, checking
-// the projection of every newly interned state against
-// staterobust.ReachableSC. A violation ends the search only once its BFS
-// level is fully interned, so Explored, WeakStates, BufBoundHit and the
-// witness length are those of complete levels — independent of worker
-// count and scheduling — and the witness is a shortest one. It ends in
-// the level's smallest violating projection. The state bound applies to
-// the level-complete count too: ErrBound exactly when some explored level
-// ends above it.
+// When mm has quiescent states (MemoryModel.Quiescent: SC, TSO and the
+// lazy single-delayer TSO), the SC backbone is part of the product, and
+// CheckState explores it there instead of in a separate
+// staterobust.ReachableSC run: one store, two level-synchronous passes.
+//   - Pass 1 expands the quiescent states by their SC steps, computed on
+//     the raw memory bytes as ReachableSC computes them. It reaches
+//     exactly the SC-reachable compound states, and their projections
+//     are the SC set. A delaying thread's SC store is two steps of mm, a
+//     buffered store and its flush; pass 1 takes them as one fused step,
+//     held back a level so that every state keeps its depth in the
+//     product, and files the state as an episode root at its depth.
+//   - Pass 2 resumes on the episode roots, each on the level of its
+//     depth, and expands them through mm by the buffered stores that
+//     open their episodes, and every new state from there in full. It
+//     checks each projection against the now complete SC set.
+//
+// Other machines (RA, SRA) take the SC set from ReachableSC and run pass 2
+// alone, from the initial state.
+//
+// Both passes run on explore.RunLevels. A violation ends pass 2 only once
+// its level is fully interned, so Explored, WeakStates, BufBoundHit and
+// the witness length are those of complete levels — independent of
+// worker count and scheduling. The witness ends in the level's smallest
+// violating projection; its fused steps are split again, so each of its
+// steps is one step of mm. The state bound applies to the level-complete
+// count of both passes: ErrBound exactly when some explored level ends
+// above it.
 //
 // With lim.Reduce, a program of at most explore.MaxPermThreads threads
 // with interchangeable threads (prog.SymClasses), and a machine whose
@@ -41,22 +59,26 @@ import (
 // within each class the members are sorted by their raw program block,
 // then by their per-thread memory content, and the same permutation is
 // applied to both parts, recorded in the step's Perm. The canonical form
-// depends on the state alone, so the counts stay schedule-independent.
-// Every orbit is represented at the BFS depth of its shallowest member,
-// so the verdict, SCStates, WeakStates, BufBoundHit and the witness
-// length are those of the unfolded product; only Explored drops. The
-// witness is concretized back into a run of the original program.
+// depends on the state alone, and both passes treat the members of an
+// orbit alike, so every orbit is represented at the depth of its
+// shallowest member: the verdict, SCStates, WeakStates, BufBoundHit and
+// the witness length are those of the unfolded product; only Explored
+// drops. The witness is concretized back into a run of the original
+// program.
 //
 // The frontier carries store ids only: each state is decoded from its
 // key, the raw program state followed by mm's encoding.
 func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (*staterobust.Result, error) {
-	sc, err := staterobust.ReachableSC(program, lim)
-	if err != nil {
-		return nil, err
+	quiet := mm.Quiescent() // non-nil: pass 1 runs and fills sc
+	sc := explore.NewSet()
+	if quiet == nil {
+		var err error
+		if sc, err = staterobust.ReachableSC(program, lim); err != nil {
+			return nil, err
+		}
 	}
 	p := prog.New(program)
 	store := explore.NewSharded(false)
-	weak := explore.NewSet()
 	nT := len(p.Threads)
 	var (
 		classes [][]int    // the folded symmetry classes (nil: no folding)
@@ -70,12 +92,15 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 		}
 	}
 	type worker struct {
-		mm       MemoryModel
-		pj       *staterobust.Projector
-		cur, key []byte
-		ps, nxt  prog.State
-		succs    []Succ
-		perm     []uint8
+		mm            MemoryModel
+		pj            *staterobust.Projector
+		cur, key, mem []byte
+		ps, nxt       prog.State
+		succs         []Succ
+		perm          []uint8
+		roots         []int64 // pass 1: the episode roots met, in depth order
+		rootsAt       []int   // where each depth's roots start
+		held          [2]heldSuccs
 	}
 	ws := make([]*worker, lim.WorkerCount())
 	for w := range ws {
@@ -83,7 +108,8 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 		if w > 0 {
 			wm = mm.Fork()
 		}
-		ws[w] = &worker{mm: wm, pj: staterobust.NewProjector(p, lim), ps: p.InitStateRaw(), nxt: p.InitStateRaw(), perm: make([]uint8, nT)}
+		ws[w] = &worker{mm: wm, pj: staterobust.NewProjector(p, lim), ps: p.InitStateRaw(), nxt: p.InitStateRaw(), perm: make([]uint8, nT),
+			held: [2]heldSuccs{{depth: -1}, {depth: -1}}}
 	}
 	n := ws[0].pj.Len()
 
@@ -91,28 +117,38 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 	// it returns 0 when the successor is its orbit's representative
 	// already (or nothing is folded), and otherwise sets wk.key to the
 	// representative and returns the packed permutation. Members sort by
-	// raw program block, then by memory content.
-	fold := func(wk *worker, ps prog.State, m State) uint32 {
+	// raw program block, then by memory content. A nil m stands for the
+	// quiescent memory encoded by mem, which holds no per-thread content.
+	fold := func(wk *worker, ps prog.State, m State, mem []byte) uint32 {
 		if classes == nil || explore.SortPerm(classes, wk.perm, func(a, b int) int {
-			if c := p.CmpThreadsRaw(ps, a, b); c != 0 {
+			if c := p.CmpThreadsRaw(ps, a, b); c != 0 || m == nil {
 				return c
 			}
 			return tp.CmpThreads(m, a, b)
 		}) {
 			return 0
 		}
-		wk.key = tp.EncodePerm(p.EncodeStateRawPerm(wk.key[:0], ps, wk.perm), m, wk.perm)
+		wk.key = p.EncodeStateRawPerm(wk.key[:0], ps, wk.perm)
+		if m == nil {
+			wk.key = append(wk.key, mem...)
+		} else {
+			wk.key = tp.EncodePerm(wk.key, m, wk.perm)
+		}
 		return explore.PackPerm(wk.perm)
 	}
 
 	var (
+		pass1     = quiet != nil // read-only while a pass runs
+		depth     int            // the level pass 1 is expanding
 		mu        sync.Mutex
-		witness   []byte // smallest violating projection so far
+		extra     = map[string]bool{} // the reached projections outside sc
+		witness   []byte              // the smallest of them
 		witnessID int64
 	)
 	// add interns wk.key, reached from parent by step, and queues it when
-	// new. Program steps (proj) also check the new state's projection; a
-	// memory-internal step keeps its parent's, checked already.
+	// new. Program steps (proj) also file the new state's projection: into
+	// sc in pass 1, and in pass 2 into extra when it is not in sc. A
+	// memory-internal step keeps its parent's projection, filed already.
 	add := func(wk *worker, parent int64, step explore.Step, proj bool, push func(int64)) {
 		id, isNew := store.Add(wk.key, parent, step)
 		if !isNew {
@@ -123,21 +159,99 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 			return
 		}
 		pk := wk.pj.Key(wk.key)
-		if _, isNew := weak.Add(pk); !isNew || sc.Has(pk) {
+		if pass1 {
+			sc.Add(pk)
+			return
+		}
+		if sc.Has(pk) {
 			return
 		}
 		mu.Lock()
-		if witness == nil || bytes.Compare(pk, witness) < 0 {
-			witness = append(witness[:0], pk...)
-			witnessID = id
+		if !extra[string(pk)] {
+			extra[string(pk)] = true
+			if witness == nil || bytes.Compare(pk, witness) < 0 {
+				witness = append(witness[:0], pk...)
+				witnessID = id
+			}
 		}
 		mu.Unlock()
 	}
-	expand := func(w int, id int64, push func(int64)) bool {
+	// expandSC is pass 1's expansion: of a quiescent state, by its SC
+	// steps on the raw memory bytes, holding back the successor of a
+	// delaying thread's store (see heldSuccs); of a held-back successor,
+	// by interning it one level later, as a fused step.
+	expandSC := func(w int, id int64, push func(int64)) bool {
 		if store.Len() > lim.StateBound() {
 			return false // ErrBound below: the count only grows
 		}
 		wk := ws[w]
+		if id&heldSucc != 0 {
+			h := &ws[(id&^heldSucc)>>heldShift].held[(depth-1)&1]
+			i := int(id & heldMask)
+			f := h.succs[i]
+			wk.key = append(wk.key[:0], h.keys[f.start:f.end]...)
+			add(wk, f.parent, f.step, true, push)
+			return true
+		}
+		wk.cur = store.AppendKey(wk.cur[:0], id)
+		p.DecodeState(wk.cur, wk.ps)
+		p.DecodeState(wk.cur, wk.nxt)
+		mem := wk.cur[n:]
+		root := false
+		for t := range p.Threads {
+			th := &p.Threads[t]
+			ts := wk.ps.Threads[t]
+			if th.Terminated(ts) {
+				continue
+			}
+			step, next, ok := explore.Step{Tid: lang.Tid(t)}, mem, false
+			if th.AtEps(ts) {
+				step.Internal = explore.IntEps
+				ok = th.StepEpsInto(ts, &wk.nxt.Threads[t]) == nil // a failed assert has no successors
+			} else {
+				op := th.Op(ts)
+				if op.Kind == prog.OpWrite && quiet.Delays[t] {
+					step.Internal, root = explore.IntFused, true
+				}
+				if step.Lab, ok = prog.SCLabel(op, lang.Val(mem[op.Loc]), program.ValCount); ok {
+					th.ApplyRawInto(ts, step.Lab, &wk.nxt.Threads[t])
+					next = append(wk.mem[:0], mem...)
+					if step.Lab.Typ != lang.LRead {
+						next[step.Lab.Loc] = byte(step.Lab.VW)
+					}
+					wk.mem = next
+				}
+			}
+			if ok {
+				if step.Perm = fold(wk, wk.nxt, nil, next); step.Perm == 0 {
+					wk.key = append(p.EncodeStateRaw(wk.key[:0], wk.nxt), next...)
+				}
+				if step.Internal == explore.IntFused {
+					push(wk.held[depth&1].hold(depth, id, step, wk.key, w))
+				} else {
+					add(wk, id, step, true, push)
+				}
+			}
+			wk.nxt.Threads[t].PC = ts.PC
+			copy(wk.nxt.Threads[t].Regs, ts.Regs)
+		}
+		if root {
+			for len(wk.rootsAt) <= depth {
+				wk.rootsAt = append(wk.rootsAt, len(wk.roots))
+			}
+			wk.roots = append(wk.roots, id|episodeRoot)
+		}
+		return true
+	}
+	// expand is pass 2's expansion, through mm: of an episode root, by the
+	// buffered stores that open its episodes; of any other state, in full.
+	expand := func(w int, id int64, push func(int64)) bool {
+		if store.Len() > lim.StateBound() {
+			return false
+		}
+		wk := ws[w]
+		root := id&episodeRoot != 0
+		id &^= episodeRoot
 		wk.cur = store.AppendKey(wk.cur[:0], id)
 		p.DecodeState(wk.cur, wk.ps)
 		p.DecodeState(wk.cur, wk.nxt)
@@ -152,12 +266,14 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 			switch {
 			case th.Terminated(ts):
 				continue
+			case root && (th.AtEps(ts) || !quiet.Delays[t] || th.Op(ts).Kind != prog.OpWrite):
+				continue
 			case th.AtEps(ts):
 				if th.StepEpsInto(ts, &wk.nxt.Threads[t]) != nil {
 					break // a failed assert has no successors
 				}
 				step := explore.Step{Tid: tid, Internal: explore.IntEps}
-				if step.Perm = fold(wk, wk.nxt, m); step.Perm == 0 {
+				if step.Perm = fold(wk, wk.nxt, m, nil); step.Perm == 0 {
 					wk.key = append(p.EncodeStateRaw(wk.key[:0], wk.nxt), mem...)
 				}
 				add(wk, id, step, true, push)
@@ -167,7 +283,7 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 					wk.mm.Canon(s.M)
 					th.ApplyRawInto(ts, s.Lab, &wk.nxt.Threads[t])
 					step := explore.Step{Tid: tid, Lab: s.Lab}
-					if step.Perm = fold(wk, wk.nxt, s.M); step.Perm == 0 {
+					if step.Perm = fold(wk, wk.nxt, s.M, nil); step.Perm == 0 {
 						wk.key = s.M.Encode(p.EncodeStateRaw(wk.key[:0], wk.nxt))
 					}
 					add(wk, id, step, true, push)
@@ -176,6 +292,9 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 			wk.nxt.Threads[t].PC = ts.PC
 			copy(wk.nxt.Threads[t].Regs, ts.Regs)
 		}
+		if root {
+			return true // a quiescent state has no internal actions
+		}
 		// Memory-internal actions.
 		for t := range p.Threads {
 			tid := lang.Tid(t)
@@ -183,7 +302,7 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 			for _, s := range wk.succs {
 				wk.mm.Canon(s.M)
 				step := explore.Step{Tid: tid, Internal: explore.IntFlush}
-				if step.Perm = fold(wk, wk.ps, s.M); step.Perm == 0 {
+				if step.Perm = fold(wk, wk.ps, s.M, nil); step.Perm == 0 {
 					wk.key = s.M.Encode(append(wk.key[:0], wk.cur[:n]...))
 				}
 				add(wk, id, step, false, push)
@@ -194,11 +313,38 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 
 	wk := ws[0]
 	wk.key = mm.Init().Encode(p.EncodeStateRaw(nil, wk.nxt))
-	var root int64
-	add(wk, -1, explore.Step{}, true, func(id int64) { root = id })
-	if witness == nil {
+	roots := [][]int64{nil}
+	add(wk, -1, explore.Step{}, true, func(id int64) { roots[0] = append(roots[0], id) })
+	opts := lim.RunOpts(store.Len)
+	ok := true
+	if pass1 {
+		next := func() bool { depth++; return true }
+		ok = explore.RunLevels(len(ws), roots, expandSC, next, opts)
+		// Gather the episode roots by depth, each worker's in one run.
+		roots = roots[:0]
+		var all []int64
+		for d := 0; ; d++ {
+			start, more := len(all), false
+			for _, wk := range ws {
+				if d < len(wk.rootsAt) {
+					end := len(wk.roots)
+					if d+1 < len(wk.rootsAt) {
+						end = wk.rootsAt[d+1]
+					}
+					all = append(all, wk.roots[wk.rootsAt[d]:end]...)
+					more = true
+				}
+			}
+			if !more {
+				break
+			}
+			roots = append(roots, all[start:len(all):len(all)])
+		}
+		pass1 = false
+	}
+	if ok {
 		more := func() bool { return witness == nil }
-		explore.RunLevels(len(ws), []int64{root}, expand, more, lim.RunOpts(store.Len))
+		explore.RunLevels(len(ws), roots, expand, more, opts)
 	}
 	if err := lim.Err(); err != nil {
 		return nil, err
@@ -209,15 +355,70 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 	res := &staterobust.Result{
 		Robust:     witness == nil,
 		SCStates:   sc.Len(),
-		WeakStates: weak.Len(),
+		WeakStates: sc.Len() + len(extra),
 		Explored:   store.Len(),
 	}
 	for _, wk := range ws {
 		res.BufBoundHit = res.BufBoundHit || wk.mm.BoundHit()
 	}
 	if witness != nil {
-		res.WitnessTrace = store.Trace(witnessID)
+		res.WitnessTrace = unfuse(store.Trace(witnessID))
 		explore.Concretize(res.WitnessTrace, nT)
 	}
 	return res, nil
+}
+
+// Flags on frontier ids. In pass 1 a heldSucc id names a held-back
+// successor: bits heldShift and up hold the worker, the bits below its
+// index. In pass 2 an episodeRoot id is expanded by the stores that open
+// its episodes. Store ids stay below 1<<37.
+const (
+	heldSucc    = int64(1) << 61
+	episodeRoot = int64(1) << 62
+	heldShift   = 40
+	heldMask    = 1<<heldShift - 1
+)
+
+// heldSuccs is one worker's pass-1 successors held back on one level,
+// each with its key, for the next level to intern: a store and its flush
+// are two levels deep in the product. A worker keeps two, filling one
+// while the next level reads the other.
+type heldSuccs struct {
+	depth int // the level they were held on
+	succs []held
+	keys  []byte
+}
+
+type held struct {
+	parent     int64
+	step       explore.Step
+	start, end int // the key in keys
+}
+
+// hold keeps a successor held back on level depth by worker w and
+// returns its frontier id.
+func (h *heldSuccs) hold(depth int, parent int64, step explore.Step, key []byte, w int) int64 {
+	if h.depth != depth {
+		h.depth, h.succs, h.keys = depth, h.succs[:0], h.keys[:0]
+	}
+	start := len(h.keys)
+	h.keys = append(h.keys, key...)
+	h.succs = append(h.succs, held{parent, step, start, len(h.keys)})
+	return heldSucc | int64(w)<<heldShift | int64(len(h.succs)-1)
+}
+
+// unfuse splits every fused step of a trace into the buffered store and
+// the flush it stands for; the flush carries the fused step's Perm.
+func unfuse(trace []explore.Step) []explore.Step {
+	out := trace[:0:0]
+	for _, st := range trace {
+		if st.Internal != explore.IntFused {
+			out = append(out, st)
+			continue
+		}
+		out = append(out,
+			explore.Step{Tid: st.Tid, Lab: st.Lab},
+			explore.Step{Tid: st.Tid, Internal: explore.IntFlush, Perm: st.Perm})
+	}
+	return out
 }

@@ -26,7 +26,10 @@
 //
 // CheckState (check.go) is the one product explorer behind the interface:
 // a level-synchronous parallel BFS on the sharded arena store, one model
-// instance (Fork) per worker, with every state decoded from its key. The
+// instance (Fork) per worker, with every state decoded from its key. For
+// a machine with quiescent states (Quiescent: SC and TSO) it explores the
+// SC backbone inside the product, on raw memory bytes, rather than calling
+// staterobust.ReachableSC first. The
 // specialized staterobust engines remain the production paths for the
 // state-ra, state-sra and state-tso modes; the adapters here are pinned
 // equal to them by parity tests. The production user of the interface is
@@ -94,12 +97,33 @@ type MemoryModel interface {
 	// Fork returns a fresh instance of the same machine, with scratch of
 	// its own and BoundHit false, for another concurrent worker.
 	Fork() MemoryModel
+	// Quiescent describes the machine's quiescent states, or returns nil
+	// when it has none (RA, SRA): CheckState then takes the SC-reachable
+	// set from staterobust.ReachableSC instead of exploring it itself.
+	Quiescent() *Quiescence
 	// Symmetry returns the machine's per-thread view for folding thread
 	// symmetry, or nil when the machine does not treat the members of
 	// every class (prog.SymClasses) interchangeably — when permuting a
 	// class's threads together with their per-thread memory content
 	// does not map runs to runs. CheckState folds only when it is non-nil.
 	Symmetry(classes [][]int) ThreadPerm
+}
+
+// Quiescence describes a machine's quiescent states, those with nothing
+// in flight: every state of SC, every TSO state with all store buffers
+// empty. CheckState explores them on raw memory bytes, as
+// staterobust.ReachableSC explores SC memory, so they must behave as SC
+// memory does:
+//   - the initial state is quiescent, and a quiescent state encodes as
+//     the SC memory, one byte per location, followed by bytes that hold
+//     nothing per thread;
+//   - a quiescent state has no memory-internal steps, and its successor
+//     under an operation, if any, is SC's, differing from it in the SC
+//     memory bytes only — but for a store by a thread t with Delays[t];
+//   - such a store enters t's buffer instead, and t's one memory-internal
+//     step from there, its flush, reaches SC's successor.
+type Quiescence struct {
+	Delays []bool
 }
 
 // ThreadPerm is a machine's per-thread view for thread-symmetry folding.
@@ -124,12 +148,14 @@ func (s *scState) Encode(d []byte) []byte { return s.m.Encode(d) }
 type scModel struct {
 	numLocs  int
 	valCount int
+	quiet    *Quiescence
 	cur      *scState
 }
 
 // NewSC returns the SC memory (memsc) as a MemoryModel.
 func NewSC(program *lang.Program) MemoryModel {
-	return &scModel{numLocs: program.NumLocs(), valCount: program.ValCount}
+	return &scModel{numLocs: program.NumLocs(), valCount: program.ValCount,
+		quiet: &Quiescence{Delays: make([]bool, program.NumThreads())}}
 }
 
 func (mm *scModel) Name() string { return "sc" }
@@ -157,7 +183,10 @@ func (mm *scModel) Steps(dst []Succ, ms State, tid lang.Tid, op prog.MemOp) []Su
 func (mm *scModel) Internal(dst []Succ, ms State, tid lang.Tid) []Succ { return dst }
 func (mm *scModel) Canon(State)                                        {}
 func (mm *scModel) BoundHit() bool                                     { return false }
-func (mm *scModel) Fork() MemoryModel                                  { return &scModel{numLocs: mm.numLocs, valCount: mm.valCount} }
+func (mm *scModel) Quiescent() *Quiescence                             { return mm.quiet }
+func (mm *scModel) Fork() MemoryModel {
+	return &scModel{numLocs: mm.numLocs, valCount: mm.valCount, quiet: mm.quiet}
+}
 
 // SC memory is indexed by location only: it holds no per-thread content.
 func (mm *scModel) Symmetry([][]int) ThreadPerm { return scPerm{} }
@@ -187,6 +216,7 @@ type tsoModel struct {
 	// just with the flush fused into the store step). nil gives the full
 	// x86-TSO machine: every thread buffers every write.
 	lazySet  []bool
+	quiet    *Quiescence
 	boundHit bool
 	// cur is Decode's scratch, next the one successor a Steps or
 	// Internal call yields (the machine is deterministic per operation).
@@ -216,12 +246,20 @@ func newTSO(program *lang.Program, bufCap int, lazySet []bool) MemoryModel {
 	if bufCap <= 0 {
 		bufCap = 8
 	}
+	delays := lazySet
+	if delays == nil {
+		delays = make([]bool, program.NumThreads())
+		for t := range delays {
+			delays[t] = true
+		}
+	}
 	return &tsoModel{
 		numLocs:    program.NumLocs(),
 		numThreads: program.NumThreads(),
 		valCount:   program.ValCount,
 		bufCap:     bufCap,
 		lazySet:    lazySet,
+		quiet:      &Quiescence{Delays: delays},
 	}
 }
 
@@ -328,6 +366,10 @@ func (mm *tsoModel) Internal(dst []Succ, ms State, tid lang.Tid) []Succ {
 	nm.m.Flush(tid)
 	return append(dst, Succ{M: nm})
 }
+
+// Quiescent: a state is quiescent when every buffer is empty, and then
+// encodes as the store followed by one zero length per buffer.
+func (mm *tsoModel) Quiescent() *Quiescence { return mm.quiet }
 
 func (mm *tsoModel) Canon(State)    {}
 func (mm *tsoModel) BoundHit() bool { return mm.boundHit }
@@ -493,6 +535,8 @@ func (mm *raModel) Steps(dst []Succ, ms State, tid lang.Tid, op prog.MemOp) []Su
 }
 
 func (mm *raModel) Internal(dst []Succ, ms State, tid lang.Tid) []Succ { return dst }
+
+func (mm *raModel) Quiescent() *Quiescence { return nil }
 
 func (mm *raModel) Canon(ms State) { ms.(*raState).m.Canonicalize(mm.gapCap) }
 

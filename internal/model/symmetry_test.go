@@ -166,24 +166,76 @@ func TestTSOSymmetryParity(t *testing.T) {
 	}
 }
 
-// TestTSOSymmetryCounts pins the folded state counts of two rows, so a
-// change to the canonical form cannot slip through as a silent drift.
+// TestTSOSymmetryCounts pins the folded counts of six robust rows at the
+// 2M-state bound, so a change to the canonical form or to the order the
+// product is explored in cannot slip through as a silent drift.
 func TestTSOSymmetryCounts(t *testing.T) {
-	pinned := map[string]int{"chase-lev-tso": 8_602, "seqlock": 744_324}
-	for name, want := range pinned {
-		if name == "seqlock" && testing.Short() {
+	pinned := []struct {
+		name                           string
+		explored, scStates, weakStates int
+	}{
+		{"seqlock", 744_324, 510_554, 510_554},
+		{"rcu", 757_219, 393_139, 393_139},
+		{"ticketlock4", 39_944, 14_632, 14_632},
+		{"rcu-offline", 30_067, 16_084, 16_084},
+		{"chase-lev-tso", 8_602, 5_557, 5_557},
+		{"chase-lev-ra", 10_070, 6_424, 6_424},
+	}
+	for _, want := range pinned {
+		if (want.name == "seqlock" || want.name == "rcu") && testing.Short() {
 			continue
 		}
-		e, err := litmus.Get(name)
+		e, err := litmus.Get(want.name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := CheckTSO(e.Program(), staterobust.Limits{MaxStates: 2_000_000, Reduce: true})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", want.name, err)
 		}
-		if res.Explored != want {
-			t.Errorf("%s: explored %d folded states, pinned %d", name, res.Explored, want)
+		if !res.Robust || res.Explored != want.explored || res.SCStates != want.scStates || res.WeakStates != want.weakStates {
+			t.Errorf("%s: %s, pinned robust explored=%d sc=%d weak=%d",
+				want.name, summary(res), want.explored, want.scStates, want.weakStates)
+		}
+	}
+}
+
+// TestTSOSCSetParity checks the SC backbone CheckTSO explores inside its
+// product against staterobust.ReachableSC, with Reduce on and off: on
+// every corpus row with a delayer candidate and on the two symmetric
+// store-buffering programs, SCStates must be ReachableSC's count.
+func TestTSOSCSetParity(t *testing.T) {
+	var ps []*lang.Program
+	for _, e := range litmus.All() {
+		if e.Big || (testing.Short() && (e.Name == "seqlock" || e.Name == "rcu")) {
+			continue
+		}
+		ps = append(ps, e.Program())
+	}
+	for _, src := range []string{symSB, symSBFenced} {
+		p, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	for _, p := range ps {
+		if len(DelayerCandidates(p)) == 0 {
+			continue // robust at once, with no SC backbone explored
+		}
+		for _, reduce := range []bool{true, false} {
+			lim := staterobust.Limits{MaxStates: 2_000_000, Reduce: reduce}
+			res, err := CheckTSO(p, lim)
+			if err != nil {
+				t.Fatalf("%s reduce=%v: CheckTSO: %v", p.Name, reduce, err)
+			}
+			sc, err := staterobust.ReachableSC(p, lim)
+			if err != nil {
+				t.Fatalf("%s reduce=%v: ReachableSC: %v", p.Name, reduce, err)
+			}
+			if res.SCStates != sc.Len() {
+				t.Errorf("%s reduce=%v: SCStates = %d, ReachableSC reaches %d", p.Name, reduce, res.SCStates, sc.Len())
+			}
 		}
 	}
 }

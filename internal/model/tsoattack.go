@@ -41,15 +41,19 @@ import (
 // further by never letting a thread that could not possibly profit from
 // delaying open an episode.
 //
-// Both phases — the SC backbone (staterobust.ReachableSC) and the lazy
-// product (CheckState) — are level-synchronous parallel explorations
-// on lim.Workers workers, so every count this returns, and the length of
-// its witness, is independent of the worker count even on non-robust
-// programs. With lim.Reduce both phases fold their compound states under
-// thread symmetry: the lazy machine is symmetric because
-// DelayerCandidates is syntactic, so interchangeable threads are
-// candidates alike, and a buffer moves with its thread. Only Explored
-// drops; every other count and the witness length are unchanged.
+// Every attack opens from an SC-reachable state with all buffers drained,
+// so the lazy product contains the SC backbone: CheckState explores it
+// once, as the product's quiescent states (pass 1), then resumes on the
+// attacks' first buffered stores (pass 2), with no separate
+// staterobust.ReachableSC run. Both passes are level-synchronous parallel
+// explorations of one store on lim.Workers workers, so every count this
+// returns, and the length of its witness, is independent of the worker
+// count even on non-robust programs. With lim.Reduce both passes fold
+// their compound states under thread symmetry: the lazy machine is
+// symmetric because DelayerCandidates is syntactic, so interchangeable
+// threads are candidates alike, and a buffer moves with its thread. Only
+// Explored drops; every other count and the witness length are
+// unchanged.
 //
 // When no thread is a delayer candidate the lazy machine is the SC
 // machine, so the program is robust with no exploration at all:

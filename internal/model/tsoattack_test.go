@@ -208,8 +208,8 @@ func TestReplayTSOFig7(t *testing.T) {
 			if err := ReplayTSO(p, res.WitnessTrace, lim); err != nil {
 				t.Errorf("%s workers=%d: witness does not replay: %v", e.Name, w, err)
 			}
-			// The witness is a shortest one, so its prefix ends in an
-			// SC-reachable state.
+			// The search stops on the first level holding a violation,
+			// so the witness's prefix ends in an SC-reachable state.
 			if err := ReplayTSO(p, res.WitnessTrace[:len(res.WitnessTrace)-1], lim); err == nil {
 				t.Errorf("%s workers=%d: a witness without its last step replayed", e.Name, w)
 			}

@@ -78,3 +78,24 @@ func TestCheckCancelMidExploration(t *testing.T) {
 		}
 	}
 }
+
+// TestReachableSCProgress checks that the SC phase of the state checkers
+// reports progress: ticketlock4's SC backbone, the first phase of a
+// state-ra run, explores well over the 4096-expansion progress period.
+func TestReachableSCProgress(t *testing.T) {
+	e, err := litmus.Get("ticketlock4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls, last atomic.Int64
+	lim := staterobust.Limits{Workers: 2, Progress: func(explored int) {
+		calls.Add(1)
+		last.Store(int64(explored))
+	}}
+	if _, err := staterobust.ReachableSC(e.Program(), lim); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() == 0 || last.Load() < 4096 {
+		t.Errorf("Progress called %d times, last with %d states; want calls past 4096 states", calls.Load(), last.Load())
+	}
+}

@@ -47,9 +47,11 @@ type Limits struct {
 	// not grow the write count beyond it (see memra's package comment).
 	RAHeadroom int
 	// Workers sets the number of parallel exploration workers of every
-	// state checker — the SC backbone (ReachableSC), CheckRA/CheckSRA and
-	// the instrumented TSO checker (model.CheckTSO): 0 uses GOMAXPROCS, 1
-	// explores sequentially. Verdicts and full-run state counts are
+	// state checker — the SC backbone of this package's checkers
+	// (ReachableSC), CheckRA/CheckSRA's weak products, and the
+	// instrumented TSO checker (model.CheckTSO, which explores its SC
+	// backbone inside its product): 0 uses GOMAXPROCS, 1 explores
+	// sequentially. Verdicts and full-run state counts are
 	// worker-count-independent, and so is everything the level-synchronous
 	// checkers (ReachableSC, model.CheckTSO) report on non-robust programs;
 	// CheckRA/CheckSRA stop at the first violation any worker finds, so
@@ -69,10 +71,11 @@ type Limits struct {
 	// folded before the SC and weak reachable sets are compared: the
 	// verdict is unchanged — both sets are closed under the same
 	// permutations — but SCStates and WeakStates then count canonical
-	// representatives, not raw program states. The compound states of the
-	// SC backbone (ReachableSC) and of model.CheckState's product with a
-	// symmetric machine (SC, TSO and the lazy single-delayer TSO) are
-	// folded too, which changes nothing but Explored and the run time.
+	// representatives, not raw program states. The compound states of
+	// ReachableSC and of model.CheckState's product with a symmetric
+	// machine (SC, TSO and the lazy single-delayer TSO, whose product
+	// holds its own SC backbone) are folded too, which changes nothing but
+	// Explored and the run time.
 	// The weak products of CheckRA, CheckSRA and the exhaustive CheckTSO
 	// stay unfolded.
 	Reduce bool
@@ -282,7 +285,7 @@ func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 	}
 	var root int64
 	add(ws[0], make([]byte, program.NumLocs()), func(id int64) { root = id })
-	explore.RunLevels(len(ws), []int64{root}, expand, nil, explore.RunOpts{Ctx: lim.Ctx})
+	explore.RunLevels(len(ws), [][]int64{{root}}, expand, nil, lim.RunOpts(seen.Len))
 	if err := lim.Err(); err != nil {
 		return nil, err
 	}
