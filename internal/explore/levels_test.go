@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/lang"
 )
 
 // levelGraph is the graph over [0, n) in which state k has successors
@@ -32,8 +34,8 @@ func (g *levelGraph) key(k int) []byte {
 	return binary.LittleEndian.AppendUint64(nil, uint64(k))
 }
 
-func (g *levelGraph) expand(w int, id int64, push func(int64)) bool {
-	k := int(binary.LittleEndian.Uint64(g.s.AppendKey(nil, id)))
+func (g *levelGraph) expand(w int, id int64, b *explore.Batch) bool {
+	k := int(binary.LittleEndian.Uint64(g.s.Key(id)))
 	g.expanded[k].Add(1)
 	g.mu.Lock()
 	g.depthOf = append(g.depthOf, bits.Len(uint(k+1))-1)
@@ -42,12 +44,12 @@ func (g *levelGraph) expand(w int, id int64, push func(int64)) bool {
 		if succ >= g.n {
 			continue
 		}
-		if sid, isNew := g.s.Add(g.key(succ)); isNew {
-			push(sid)
-		}
+		b.Add(g.key(succ), id, explore.Step{}, 0)
 	}
 	return true
 }
+
+func (g *levelGraph) commits() []explore.Commit { return []explore.Commit{{Into: g.s}} }
 
 func (g *levelGraph) root() [][]int64 {
 	id, _ := g.s.Add(g.key(0))
@@ -60,7 +62,7 @@ func TestRunLevelsVisitsAllInOrder(t *testing.T) {
 	const n = 50_000
 	for _, workers := range []int{1, 2, 4, 16} {
 		g := newLevelGraph(n)
-		if !explore.RunLevels(workers, g.root(), g.expand, nil, explore.RunOpts{}) {
+		if !explore.RunLevels(workers, g.root(), g.expand, g.commits(), nil, explore.RunOpts{}) {
 			t.Fatalf("workers=%d: search reported aborted", workers)
 		}
 		for k := range g.expanded {
@@ -85,7 +87,7 @@ func TestRunLevelsStopsAfterLevel(t *testing.T) {
 		g := newLevelGraph(n)
 		levels := 0
 		more := func() bool { levels++; return levels <= stopDepth }
-		if !explore.RunLevels(workers, g.root(), g.expand, more, explore.RunOpts{}) {
+		if !explore.RunLevels(workers, g.root(), g.expand, g.commits(), more, explore.RunOpts{}) {
 			t.Fatalf("workers=%d: stopped search reported aborted", workers)
 		}
 		for k := range g.expanded {
@@ -121,21 +123,19 @@ func TestRunLevelsRoots(t *testing.T) {
 			levelOf = map[int]int{}
 		)
 		// State k leads to k+1 while k%10 < 2: chains of three.
-		expand := func(w int, id int64, push func(int64)) bool {
-			k := int(binary.LittleEndian.Uint64(s.AppendKey(nil, id)))
+		expand := func(w int, id int64, b *explore.Batch) bool {
+			k := int(binary.LittleEndian.Uint64(s.Key(id)))
 			mu.Lock()
 			levelOf[k] = level
 			mu.Unlock()
 			if k%10 < 2 {
-				if sid, isNew := s.Add(binary.LittleEndian.AppendUint64(nil, uint64(k+1))); isNew {
-					push(sid)
-				}
+				b.Add(binary.LittleEndian.AppendUint64(nil, uint64(k+1)), id, explore.Step{}, 0)
 			}
 			return true
 		}
 		roots := [][]int64{{add(0)}, nil, nil, nil, {add(10), add(20)}, nil, {add(30)}}
 		more := func() bool { level++; return true }
-		if !explore.RunLevels(workers, roots, expand, more, explore.RunOpts{}) {
+		if !explore.RunLevels(workers, roots, expand, []explore.Commit{{Into: s}}, more, explore.RunOpts{}) {
 			t.Fatalf("workers=%d: search reported aborted", workers)
 		}
 		want := map[int]int{0: 0, 1: 1, 2: 2, 10: 4, 11: 5, 12: 6, 20: 4, 21: 5, 22: 6, 30: 6, 31: 7, 32: 8}
@@ -150,16 +150,16 @@ func TestRunLevelsRoots(t *testing.T) {
 func TestRunLevelsAbort(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := newLevelGraph(1 << 20)
-		expand := func(w int, id int64, push func(int64)) bool {
-			return g.s.Len() < 5000 && g.expand(w, id, push)
+		expand := func(w int, id int64, b *explore.Batch) bool {
+			return g.s.Len() < 5000 && g.expand(w, id, b)
 		}
-		if explore.RunLevels(workers, g.root(), expand, nil, explore.RunOpts{}) {
+		if explore.RunLevels(workers, g.root(), expand, g.commits(), nil, explore.RunOpts{}) {
 			t.Errorf("workers=%d: aborted search reported complete", workers)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		g = newLevelGraph(1 << 20)
-		if explore.RunLevels(workers, g.root(), g.expand, nil, explore.RunOpts{Ctx: ctx}) || len(g.depthOf) != 0 {
+		if explore.RunLevels(workers, g.root(), g.expand, g.commits(), nil, explore.RunOpts{Ctx: ctx}) || len(g.depthOf) != 0 {
 			t.Errorf("workers=%d: cancelled search expanded %d states", workers, len(g.depthOf))
 		}
 	}
@@ -206,5 +206,239 @@ func TestSetConcurrent(t *testing.T) {
 	s.Range(func(key []byte) { seen[string(key)] = true })
 	if len(seen) != keys {
 		t.Errorf("Range visited %d keys, want %d", len(seen), keys)
+	}
+}
+
+// TestRunLevelsWorkerIndependence explores levelGraph into a Sharded
+// store at 1, 2 and 4 workers: every level interns the same set of keys,
+// the store ends with the same Len, and the trace of every state has as
+// many steps as the state's depth.
+func TestRunLevelsWorkerIndependence(t *testing.T) {
+	const n = 40_000
+	depth := func(k int) int { return bits.Len(uint(k+1)) - 1 }
+	var ref [][]int
+	for _, workers := range []int{1, 2, 4} {
+		s := explore.NewSharded(false)
+		root, _ := s.Add(binary.LittleEndian.AppendUint64(nil, 0), -1, explore.Step{})
+		var (
+			mu     sync.Mutex
+			level  []int
+			levels [][]int
+			ids    = map[int]int64{0: root}
+		)
+		expand := func(w int, id int64, b *explore.Batch) bool {
+			k := int(binary.LittleEndian.Uint64(s.Key(id)))
+			for i, succ := range []int{2*k + 1, 2*k + 2, k + 1} {
+				if succ < n {
+					b.Add(binary.LittleEndian.AppendUint64(nil, uint64(succ)), id, explore.Step{Tid: lang.Tid(i)}, 0)
+				}
+			}
+			return true
+		}
+		onNew := func(w int, id int64, key []byte, tag uint8, next *explore.Batch) {
+			k := int(binary.LittleEndian.Uint64(key))
+			mu.Lock()
+			level = append(level, k)
+			ids[k] = id
+			mu.Unlock()
+		}
+		more := func() bool {
+			sort.Ints(level)
+			levels = append(levels, level)
+			level = nil
+			return true
+		}
+		if !explore.RunLevels(workers, [][]int64{{root}}, expand, []explore.Commit{{Into: s, On: onNew}}, more, explore.RunOpts{}) {
+			t.Fatalf("workers=%d: search reported aborted", workers)
+		}
+		if s.Len() != n {
+			t.Errorf("workers=%d: Len = %d, want %d", workers, s.Len(), n)
+		}
+		for d, keys := range levels {
+			for _, k := range keys {
+				if depth(k) != d+1 {
+					t.Fatalf("workers=%d: state %d (depth %d) interned on level %d", workers, k, depth(k), d+1)
+				}
+			}
+		}
+		for k, id := range ids {
+			if got := len(s.Trace(id)); got != depth(k) {
+				t.Fatalf("workers=%d: trace of state %d has %d steps, want %d", workers, k, got, depth(k))
+			}
+		}
+		if workers == 1 {
+			ref = levels
+		} else if fmt.Sprint(levels) != fmt.Sprint(ref) {
+			t.Errorf("workers=%d: per-level key sets differ from workers=1", workers)
+		}
+	}
+}
+
+// TestRunLevelsDefer checks that a Deferred entry is committed with the
+// next level: on the chain k → k+1 with deferred shortcuts k → k+3,
+// state j = 3a+b (b < 3) is first expanded on level 2a+b, even where the
+// frontier runs empty before a deferred entry's commit.
+func TestRunLevelsDefer(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		const n = 3000
+		s := explore.NewSet()
+		var (
+			mu      sync.Mutex
+			level   int
+			levelOf = map[int]int{}
+		)
+		expand := func(w int, id int64, b *explore.Batch) bool {
+			k := int(binary.LittleEndian.Uint64(s.Key(id)))
+			mu.Lock()
+			levelOf[k] = level
+			mu.Unlock()
+			if k+1 < n {
+				b.Add(binary.LittleEndian.AppendUint64(nil, uint64(k+1)), id, explore.Step{}, 0)
+			}
+			if k+3 < n {
+				b.Defer(binary.LittleEndian.AppendUint64(nil, uint64(k+3)), id, explore.Step{}, 0)
+			}
+			return true
+		}
+		root, _ := s.Add(binary.LittleEndian.AppendUint64(nil, 0))
+		more := func() bool { level++; return true }
+		if !explore.RunLevels(workers, [][]int64{{root}}, expand, []explore.Commit{{Into: s}}, more, explore.RunOpts{}) {
+			t.Fatalf("workers=%d: search reported aborted", workers)
+		}
+		if len(levelOf) != n || s.Len() != n {
+			t.Fatalf("workers=%d: expanded %d states, interned %d, want %d", workers, len(levelOf), s.Len(), n)
+		}
+		for j, l := range levelOf {
+			if want := 2*(j/3) + j%3; l != want {
+				t.Fatalf("workers=%d: state %d expanded on level %d, want %d", workers, j, l, want)
+			}
+		}
+	}
+
+	// A frontier of deferred entries only: 0 → 3 → 6, each two levels on.
+	s := explore.NewSet()
+	var levels []int
+	level := 0
+	expand := func(w int, id int64, b *explore.Batch) bool {
+		k := int(binary.LittleEndian.Uint64(s.Key(id)))
+		levels = append(levels, k, level)
+		if k < 6 {
+			b.Defer(binary.LittleEndian.AppendUint64(nil, uint64(k+3)), id, explore.Step{}, 0)
+		}
+		return true
+	}
+	root, _ := s.Add(binary.LittleEndian.AppendUint64(nil, 0))
+	explore.RunLevels(1, [][]int64{{root}}, expand, []explore.Commit{{Into: s}}, func() bool { level++; return true }, explore.RunOpts{})
+	if fmt.Sprint(levels) != "[0 0 3 2 6 4]" {
+		t.Errorf("(state, level) pairs %v, want [0 0 3 2 6 4]", levels)
+	}
+}
+
+// TestRunLevelsProbe checks a two-commit level: the store's On files each
+// new key's projection (its value mod 7) into the next batch, and a Probe
+// reports each one missing from a set holding the even projections.
+func TestRunLevelsProbe(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		g := newLevelGraph(5000)
+		even := explore.NewSet()
+		for v := 0; v < 7; v += 2 {
+			even.Add([]byte{byte(v)})
+		}
+		var (
+			mu      sync.Mutex
+			missing = map[int64]byte{}
+		)
+		project := func(w int, id int64, key []byte, tag uint8, next *explore.Batch) {
+			next.Add([]byte{byte(binary.LittleEndian.Uint64(key) % 7)}, id, explore.Step{}, 0)
+		}
+		report := func(w int, id int64, key []byte, tag uint8, next *explore.Batch) {
+			if next != nil {
+				t.Error("the last commit's On got a next batch")
+			}
+			mu.Lock()
+			missing[id] = key[0]
+			mu.Unlock()
+		}
+		commits := []explore.Commit{{Into: g.s, On: project}, {Into: explore.Probe{Set: even}, On: report}}
+		if !explore.RunLevels(workers, g.root(), g.expand, commits, nil, explore.RunOpts{}) {
+			t.Fatalf("workers=%d: search reported aborted", workers)
+		}
+		want := 0
+		for k := 1; k < g.n; k++ {
+			if k%7%2 == 1 {
+				want++
+			}
+		}
+		if len(missing) != want {
+			t.Errorf("workers=%d: %d states reported missing, want %d", workers, len(missing), want)
+		}
+		for id, v := range missing {
+			if k := binary.LittleEndian.Uint64(g.s.Key(id)); byte(k%7) != v || v%2 == 0 {
+				t.Fatalf("workers=%d: state %d reported with projection %d", workers, k, v)
+			}
+		}
+	}
+}
+
+// TestRunLevelsCommitLimit checks that a commit's Limit stops a wide
+// level's commit partway: on a root with w successors, each with one
+// more, a Limit crossed while committing level 1 ends the search at most
+// one shard per worker past it, before any level-1 state is expanded, and
+// one crossed while committing level 2 ends it before level 1's later
+// rounds are expanded. A Limit of the whole graph's count lets it finish.
+func TestRunLevelsCommitLimit(t *testing.T) {
+	const w = 20_000
+	key := func(k int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(k)) }
+	// The largest number of keys that one shard takes; the shard is the
+	// low six bits of a key's first Hash128 lane.
+	perShard := map[uint64]int{}
+	maxShard := 0
+	for k := 1; k <= 2*w; k++ {
+		si := explore.Hash128(key(k))[0] & 63
+		perShard[si]++
+		maxShard = max(maxShard, perShard[si])
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, limit := range []int{1, 5_000, w + 1_000, 2*w + 1} {
+			s := explore.NewSharded(false)
+			root, _ := s.Add(key(0), -1, explore.Step{})
+			var mid, deep atomic.Int64 // level-1 and level-2 states expanded
+			expand := func(_ int, id int64, b *explore.Batch) bool {
+				switch k := int(binary.LittleEndian.Uint64(s.Key(id))); {
+				case k == 0:
+					for j := 1; j <= w; j++ {
+						b.Add(key(j), id, explore.Step{}, 0)
+					}
+				case k <= w:
+					mid.Add(1)
+					b.Add(key(w+k), id, explore.Step{}, 0)
+				default:
+					deep.Add(1)
+				}
+				return true
+			}
+			done := explore.RunLevels(workers, [][]int64{{root}}, expand, []explore.Commit{{Into: s, Limit: limit}}, nil, explore.RunOpts{})
+			if limit > 2*w {
+				if !done || s.Len() != 2*w+1 {
+					t.Errorf("workers=%d limit=%d: done=%v Len=%d, want true and %d", workers, limit, done, s.Len(), 2*w+1)
+				}
+				continue
+			}
+			if done {
+				t.Errorf("workers=%d limit=%d: search over the limit reported complete", workers, limit)
+			}
+			if n := s.Len(); n <= limit || n > limit+workers*maxShard {
+				t.Errorf("workers=%d limit=%d: Len = %d, want in (%d, %d]", workers, limit, n, limit, limit+workers*maxShard)
+			}
+			if limit <= w && mid.Load() != 0 {
+				t.Errorf("workers=%d limit=%d: %d level-1 states expanded", workers, limit, mid.Load())
+			}
+			if limit > w && mid.Load() >= w {
+				t.Errorf("workers=%d limit=%d: all %d level-1 states expanded before the commit stopped", workers, limit, w)
+			}
+			if deep.Load() != 0 {
+				t.Errorf("workers=%d limit=%d: %d states of level 2 expanded", workers, limit, deep.Load())
+			}
+		}
 	}
 }

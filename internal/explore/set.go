@@ -66,6 +66,32 @@ func (s *Set) AppendKey(dst []byte, id int64) []byte {
 	return dst
 }
 
+// Key returns the key with the given id without locking, aliasing the
+// set's storage. Like Sharded.Key it is for RunLevels expansions, during
+// which no other goroutine writes s.
+func (s *Set) Key(id int64) []byte {
+	return s.shards[id&shardMask].keys.key(int32(id >> shardBits))
+}
+
+// commit interns a level's entries for shard si (see RunLevels).
+func (s *Set) commit(si int, bks []*bucket, on func(int64, uint8, []byte)) {
+	sh := &s.shards[si]
+	sh.mu.Lock()
+	added := 0
+	for _, bk := range bks {
+		for i := range bk.ents {
+			e := &bk.ents[i]
+			key := bk.key(e)
+			if local, isNew := sh.keys.insert(key, e.h); isNew {
+				added++
+				on(int64(local)<<shardBits|int64(si), e.tag, key)
+			}
+		}
+	}
+	sh.mu.Unlock()
+	s.count.Add(int64(added))
+}
+
 // Len returns the number of keys.
 func (s *Set) Len() int { return int(s.count.Load()) }
 

@@ -116,6 +116,33 @@ func (s *Sharded) add(key []byte, parent int64, step Step, sleep uint64, useSlee
 	return local<<shardBits | int64(si), true, false
 }
 
+// commit interns a level's entries for shard si (see RunLevels). Exact
+// mode only, as RunLevels expansions read keys back with Key.
+func (s *Sharded) commit(si int, bks []*bucket, on func(int64, uint8, []byte)) {
+	if s.hashCompact {
+		panic("explore: RunLevels commits need an exact Sharded store")
+	}
+	sh := &s.shards[si]
+	sh.mu.Lock()
+	added := 0
+	for _, bk := range bks {
+		for i := range bk.ents {
+			e := &bk.ents[i]
+			key := bk.key(e)
+			local, isNew := sh.keys.insert(key, e.h)
+			if !isNew {
+				continue
+			}
+			sh.parent = append(grown(sh.parent), e.parent)
+			sh.step = append(grown(sh.step), e.step)
+			added++
+			on(int64(local)<<shardBits|int64(si), e.tag, key)
+		}
+	}
+	sh.mu.Unlock()
+	s.count.Add(int64(added))
+}
+
 func (sh *shard) ensureSleep(n int) {
 	for len(sh.sleep) < n {
 		sh.sleep = append(grown(sh.sleep), 0)
@@ -151,15 +178,24 @@ func (s *Sharded) Sleep(id int64) uint64 {
 // the extended slice. Exact mode only (hash-compacted stores keep no
 // keys). Unlike Store.KeyBytes it copies — under the shard lock — rather
 // than aliasing the arena, since another worker may grow the shard's block
-// list concurrently; the caller supplies a reusable buffer, so the copy
-// still allocates nothing in steady state. This re-materialization is what
-// lets the parallel exact-mode frontier carry bare ids.
+// list concurrently (RunParallel expands while other workers Add); the
+// caller supplies a reusable buffer, so the copy still allocates nothing
+// in steady state. This re-materialization is what lets the parallel
+// exact-mode frontier carry bare ids. RunLevels expansions, during which
+// no other goroutine writes the store, read keys with Key instead.
 func (s *Sharded) AppendKey(dst []byte, id int64) []byte {
 	sh := &s.shards[id&shardMask]
 	sh.mu.Lock()
 	dst = append(dst, sh.keys.key(int32(id>>shardBits))...)
 	sh.mu.Unlock()
 	return dst
+}
+
+// Key returns the interned encoding of state id without locking; it
+// aliases the arena and must not be mutated. Exact mode only. No other
+// goroutine may write s meanwhile: it is for RunLevels expansions.
+func (s *Sharded) Key(id int64) []byte {
+	return s.shards[id&shardMask].keys.key(int32(id >> shardBits))
 }
 
 // Len returns the number of stored states. It reads an atomic counter, so
@@ -170,8 +206,11 @@ func (s *Sharded) Len() int { return int(s.count.Load()) }
 // Trace reconstructs the steps from the root to state id by following the
 // recorded parent arcs. Every parent link points at an earlier-interned
 // state, so the walk terminates at the root; the result is a valid run,
-// though not necessarily a shortest one (RunParallel does not preserve BFS
-// level order; under RunLevels every parent is one level up, so it is).
+// though not necessarily a shortest one: RunParallel does not preserve BFS
+// level order, so a state's recorded parent may be deeper than its
+// shallowest one. Under RunLevels the states new to a level's commit form
+// the next level, so every parent is one level up (two for a Deferred
+// entry) and the trace is a shortest one.
 func (s *Sharded) Trace(id int64) []Step {
 	var rev []Step
 	for id >= 0 {

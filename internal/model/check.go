@@ -34,8 +34,9 @@ import (
 //     exactly the SC-reachable compound states, and their projections
 //     are the SC set. A delaying thread's SC store is two steps of mm, a
 //     buffered store and its flush; pass 1 takes them as one fused step,
-//     held back a level so that every state keeps its depth in the
-//     product, and files the state as an episode root at its depth.
+//     whose successor it commits with the next level (explore.Batch.Defer)
+//     so that every state keeps its depth in the product, and files the
+//     state as an episode root at its depth.
 //   - Pass 2 resumes on the episode roots, each on the level of its
 //     depth, and expands them through mm by the buffered stores that
 //     open their episodes, and every new state from there in full. It
@@ -44,14 +45,18 @@ import (
 // Other machines (RA, SRA) take the SC set from ReachableSC and run pass 2
 // alone, from the initial state.
 //
-// Both passes run on explore.RunLevels. A violation ends pass 2 only once
-// its level is fully interned, so Explored, WeakStates, BufBoundHit and
-// the witness length are those of complete levels — independent of
-// worker count and scheduling. The witness ends in the level's smallest
-// violating projection; its fused steps are split again, so each of its
-// steps is one step of mm. The state bound applies to the level-complete
-// count of both passes: ErrBound exactly when some explored level ends
-// above it.
+// Both passes run on explore.RunLevels: a level's successors are interned
+// into the store after its expansion, and then the projections of the new
+// ones are filed into sc (pass 1) or probed against it (pass 2), each
+// commit grouped by shard. A violation ends pass 2 only once its level is
+// fully committed, so Explored, WeakStates, BufBoundHit and the witness
+// length are those of complete levels — independent of worker count and
+// scheduling. The witness ends in the level's smallest violating
+// projection; its fused steps are split again, so each of its steps is
+// one step of mm. The state bound applies to the level-complete count of
+// both passes: ErrBound exactly when some explored level ends above it.
+// The store commit is the bound's Limit, so such a level stops interning
+// at most one shard per worker past it.
 //
 // With lim.Reduce, a program of at most explore.MaxPermThreads threads
 // with interchangeable threads (prog.SymClasses), and a machine whose
@@ -100,7 +105,6 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 		perm          []uint8
 		roots         []int64 // pass 1: the episode roots met, in depth order
 		rootsAt       []int   // where each depth's roots start
-		held          [2]heldSuccs
 	}
 	ws := make([]*worker, lim.WorkerCount())
 	for w := range ws {
@@ -108,8 +112,7 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 		if w > 0 {
 			wm = mm.Fork()
 		}
-		ws[w] = &worker{mm: wm, pj: staterobust.NewProjector(p, lim), ps: p.InitStateRaw(), nxt: p.InitStateRaw(), perm: make([]uint8, nT),
-			held: [2]heldSuccs{{depth: -1}, {depth: -1}}}
+		ws[w] = &worker{mm: wm, pj: staterobust.NewProjector(p, lim), ps: p.InitStateRaw(), nxt: p.InitStateRaw(), perm: make([]uint8, nT)}
 	}
 	n := ws[0].pj.Len()
 
@@ -138,34 +141,24 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 	}
 
 	var (
-		pass1     = quiet != nil // read-only while a pass runs
-		depth     int            // the level pass 1 is expanding
+		depth     int // the level pass 1 is expanding
 		mu        sync.Mutex
 		extra     = map[string]bool{} // the reached projections outside sc
 		witness   []byte              // the smallest of them
 		witnessID int64
 	)
-	// add interns wk.key, reached from parent by step, and queues it when
-	// new. Program steps (proj) also file the new state's projection: into
-	// sc in pass 1, and in pass 2 into extra when it is not in sc. A
-	// memory-internal step keeps its parent's projection, filed already.
-	add := func(wk *worker, parent int64, step explore.Step, proj bool, push func(int64)) {
-		id, isNew := store.Add(wk.key, parent, step)
-		if !isNew {
-			return
+	// project is the store commit's On: it batches the projection of a
+	// new state reached by a program step (tag proj) for the commit into
+	// sc (pass 1) or the probe against it (pass 2). A memory-internal
+	// step keeps its parent's projection, filed already.
+	project := func(w int, id int64, key []byte, tag uint8, next *explore.Batch) {
+		if tag == proj {
+			next.Add(ws[w].pj.Key(key), id, explore.Step{}, 0)
 		}
-		push(id)
-		if !proj {
-			return
-		}
-		pk := wk.pj.Key(wk.key)
-		if pass1 {
-			sc.Add(pk)
-			return
-		}
-		if sc.Has(pk) {
-			return
-		}
+	}
+	// outside is pass 2's probe On: it records a projection outside sc,
+	// reached by state id, and keeps the smallest as the witness.
+	outside := func(w int, id int64, pk []byte, tag uint8, next *explore.Batch) {
 		mu.Lock()
 		if !extra[string(pk)] {
 			extra[string(pk)] = true
@@ -176,24 +169,12 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 		}
 		mu.Unlock()
 	}
-	// expandSC is pass 1's expansion: of a quiescent state, by its SC
-	// steps on the raw memory bytes, holding back the successor of a
-	// delaying thread's store (see heldSuccs); of a held-back successor,
-	// by interning it one level later, as a fused step.
-	expandSC := func(w int, id int64, push func(int64)) bool {
-		if store.Len() > lim.StateBound() {
-			return false // ErrBound below: the count only grows
-		}
+	// expandSC is pass 1's expansion of a quiescent state, by its SC
+	// steps on the raw memory bytes. The successor of a delaying thread's
+	// store is two steps deep, so it is committed with the next level.
+	expandSC := func(w int, id int64, b *explore.Batch) bool {
 		wk := ws[w]
-		if id&heldSucc != 0 {
-			h := &ws[(id&^heldSucc)>>heldShift].held[(depth-1)&1]
-			i := int(id & heldMask)
-			f := h.succs[i]
-			wk.key = append(wk.key[:0], h.keys[f.start:f.end]...)
-			add(wk, f.parent, f.step, true, push)
-			return true
-		}
-		wk.cur = store.AppendKey(wk.cur[:0], id)
+		wk.cur = append(wk.cur[:0], store.Key(id)...)
 		p.DecodeState(wk.cur, wk.ps)
 		p.DecodeState(wk.cur, wk.nxt)
 		mem := wk.cur[n:]
@@ -227,9 +208,9 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 					wk.key = append(p.EncodeStateRaw(wk.key[:0], wk.nxt), next...)
 				}
 				if step.Internal == explore.IntFused {
-					push(wk.held[depth&1].hold(depth, id, step, wk.key, w))
+					b.Defer(wk.key, id, step, proj)
 				} else {
-					add(wk, id, step, true, push)
+					b.Add(wk.key, id, step, proj)
 				}
 			}
 			wk.nxt.Threads[t].PC = ts.PC
@@ -245,14 +226,11 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 	}
 	// expand is pass 2's expansion, through mm: of an episode root, by the
 	// buffered stores that open its episodes; of any other state, in full.
-	expand := func(w int, id int64, push func(int64)) bool {
-		if store.Len() > lim.StateBound() {
-			return false
-		}
+	expand := func(w int, id int64, b *explore.Batch) bool {
 		wk := ws[w]
 		root := id&episodeRoot != 0
 		id &^= episodeRoot
-		wk.cur = store.AppendKey(wk.cur[:0], id)
+		wk.cur = append(wk.cur[:0], store.Key(id)...)
 		p.DecodeState(wk.cur, wk.ps)
 		p.DecodeState(wk.cur, wk.nxt)
 		mem := wk.cur[n:]
@@ -276,7 +254,7 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 				if step.Perm = fold(wk, wk.nxt, m, nil); step.Perm == 0 {
 					wk.key = append(p.EncodeStateRaw(wk.key[:0], wk.nxt), mem...)
 				}
-				add(wk, id, step, true, push)
+				b.Add(wk.key, id, step, proj)
 			default:
 				wk.succs = wk.mm.Steps(wk.succs[:0], m, tid, th.Op(ts))
 				for _, s := range wk.succs {
@@ -286,7 +264,7 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 					if step.Perm = fold(wk, wk.nxt, s.M, nil); step.Perm == 0 {
 						wk.key = s.M.Encode(p.EncodeStateRaw(wk.key[:0], wk.nxt))
 					}
-					add(wk, id, step, true, push)
+					b.Add(wk.key, id, step, proj)
 				}
 			}
 			wk.nxt.Threads[t].PC = ts.PC
@@ -305,21 +283,22 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 				if step.Perm = fold(wk, wk.ps, s.M, nil); step.Perm == 0 {
 					wk.key = s.M.Encode(append(wk.key[:0], wk.cur[:n]...))
 				}
-				add(wk, id, step, false, push)
+				b.Add(wk.key, id, step, 0)
 			}
 		}
 		return true
 	}
 
-	wk := ws[0]
-	wk.key = mm.Init().Encode(p.EncodeStateRaw(nil, wk.nxt))
-	roots := [][]int64{nil}
-	add(wk, -1, explore.Step{}, true, func(id int64) { roots[0] = append(roots[0], id) })
+	key := mm.Init().Encode(p.EncodeStateRaw(nil, ws[0].nxt))
+	rootID, _ := store.Add(key, -1, explore.Step{})
+	roots := [][]int64{{rootID}}
 	opts := lim.RunOpts(store.Len)
 	ok := true
-	if pass1 {
+	if quiet != nil {
+		sc.Add(ws[0].pj.Key(key)) // pass 2 needs no probe: the initial projection is in sc
 		next := func() bool { depth++; return true }
-		ok = explore.RunLevels(len(ws), roots, expandSC, next, opts)
+		commits := []explore.Commit{{Into: store, On: project, Limit: lim.StateBound()}, {Into: sc}}
+		ok = explore.RunLevels(len(ws), roots, expandSC, commits, next, opts)
 		// Gather the episode roots by depth, each worker's in one run.
 		roots = roots[:0]
 		var all []int64
@@ -340,11 +319,11 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 			}
 			roots = append(roots, all[start:len(all):len(all)])
 		}
-		pass1 = false
 	}
 	if ok {
 		more := func() bool { return witness == nil }
-		explore.RunLevels(len(ws), roots, expand, more, opts)
+		commits := []explore.Commit{{Into: store, On: project, Limit: lim.StateBound()}, {Into: explore.Probe{Set: sc}, On: outside}}
+		explore.RunLevels(len(ws), roots, expand, commits, more, opts)
 	}
 	if err := lim.Err(); err != nil {
 		return nil, err
@@ -368,44 +347,13 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 	return res, nil
 }
 
-// Flags on frontier ids. In pass 1 a heldSucc id names a held-back
-// successor: bits heldShift and up hold the worker, the bits below its
-// index. In pass 2 an episodeRoot id is expanded by the stores that open
-// its episodes. Store ids stay below 1<<37.
-const (
-	heldSucc    = int64(1) << 61
-	episodeRoot = int64(1) << 62
-	heldShift   = 40
-	heldMask    = 1<<heldShift - 1
-)
+// proj tags a successor reached by a program step, whose projection is
+// filed (pass 1) or probed (pass 2) when it is new.
+const proj uint8 = 1
 
-// heldSuccs is one worker's pass-1 successors held back on one level,
-// each with its key, for the next level to intern: a store and its flush
-// are two levels deep in the product. A worker keeps two, filling one
-// while the next level reads the other.
-type heldSuccs struct {
-	depth int // the level they were held on
-	succs []held
-	keys  []byte
-}
-
-type held struct {
-	parent     int64
-	step       explore.Step
-	start, end int // the key in keys
-}
-
-// hold keeps a successor held back on level depth by worker w and
-// returns its frontier id.
-func (h *heldSuccs) hold(depth int, parent int64, step explore.Step, key []byte, w int) int64 {
-	if h.depth != depth {
-		h.depth, h.succs, h.keys = depth, h.succs[:0], h.keys[:0]
-	}
-	start := len(h.keys)
-	h.keys = append(h.keys, key...)
-	h.succs = append(h.succs, held{parent, step, start, len(h.keys)})
-	return heldSucc | int64(w)<<heldShift | int64(len(h.succs)-1)
-}
+// episodeRoot flags a pass-2 frontier id that is expanded by the stores
+// that open its episodes. Store ids stay below 1<<37.
+const episodeRoot = int64(1) << 62
 
 // unfuse splits every fused step of a trace into the buffered store and
 // the flush it stands for; the flush carries the fused step's Perm.

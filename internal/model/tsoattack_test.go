@@ -3,6 +3,8 @@ package model
 import (
 	"context"
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/explore"
@@ -242,5 +244,68 @@ func TestReplayTSORejectsInfeasible(t *testing.T) {
 	}
 	if err := ReplayTSO(p, trace, lim); err == nil {
 		t.Error("a witness with a forged read value replayed")
+	}
+}
+
+// TestTSOBoundExact pins where the state bound bites: the level-complete
+// count is the bound's trigger, so a bound of exactly Explored answers,
+// and one state fewer reports ErrBound, at every worker count.
+func TestTSOBoundExact(t *testing.T) {
+	for _, name := range []string{"ticketlock4", "rcu-offline", "chase-lev-tso"} {
+		t.Run(name, func(t *testing.T) {
+			e, err := litmus.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := e.Program()
+			for _, w := range []int{1, 2, 4} {
+				ref, err := Run(ModeTSO, p, RunOpts{MaxStates: 2_000_000, Reduce: true, Workers: w})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				rr, err := Run(ModeTSO, p, RunOpts{MaxStates: ref.States, Reduce: true, Workers: w})
+				if err != nil {
+					t.Errorf("workers=%d: MaxStates=%d (Explored): %v", w, ref.States, err)
+				} else if rr.Robust != ref.Robust || rr.States != ref.States {
+					t.Errorf("workers=%d: MaxStates=%d: %+v, unbounded %+v", w, ref.States, *rr, *ref)
+				}
+				if _, err := Run(ModeTSO, p, RunOpts{MaxStates: ref.States - 1, Reduce: true, Workers: w}); !errors.Is(err, staterobust.ErrBound) {
+					t.Errorf("workers=%d: MaxStates=%d (Explored-1): err = %v, want ErrBound", w, ref.States-1, err)
+				}
+			}
+		})
+	}
+}
+
+// TestReachableSCWorkerIndependence checks that the SC-reachable
+// projection set is the same set of keys at 1, 2 and 4 workers, folded
+// and unfolded.
+func TestReachableSCWorkerIndependence(t *testing.T) {
+	for _, name := range []string{"rcu-offline", "ticketlock4"} {
+		e, err := litmus.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := e.Program()
+		for _, reduce := range []bool{false, true} {
+			var ref []string
+			for _, w := range []int{1, 2, 4} {
+				sc, err := staterobust.ReachableSC(p, staterobust.Limits{Workers: w, Reduce: reduce})
+				if err != nil {
+					t.Fatalf("%s reduce=%v workers=%d: %v", name, reduce, w, err)
+				}
+				var keys []string
+				sc.Range(func(key []byte) { keys = append(keys, string(key)) })
+				sort.Strings(keys)
+				if len(keys) != sc.Len() {
+					t.Errorf("%s reduce=%v workers=%d: Range gave %d keys, Len %d", name, reduce, w, len(keys), sc.Len())
+				}
+				if w == 1 {
+					ref = keys
+				} else if !slices.Equal(keys, ref) {
+					t.Errorf("%s reduce=%v workers=%d: %d keys differ from the %d at workers=1", name, reduce, w, len(keys), len(ref))
+				}
+			}
+		}
 	}
 }

@@ -210,15 +210,19 @@ func (pj *Projector) Key(key []byte) []byte {
 // barrier discussion hinges on a state where both threads hold stale
 // zeroes on their loop branches.
 //
-// It runs on explore.RunLevels with lim.Workers workers. The visited set
-// carries no trace links and the frontier only ids: each state is decoded
-// from its key, the raw program state followed by one byte per location
-// of SC memory. With lim.Reduce the program-state prefix of every key is
-// canonicalized under thread symmetry before interning: SC memory is
-// indexed by location, so permuting interchangeable threads is an
-// automorphism of the product, and one state per orbit reaches the same
-// projection set. The returned set is safe for concurrent Has calls, so
-// the weak explorations probe it from all their workers.
+// It runs on explore.RunLevels with lim.Workers workers: a level's
+// successors are committed into the visited set after its expansion, and
+// the projections of the new ones into the returned set after that, both
+// grouped by shard; the visited set's commit stops at most one shard per
+// worker past the state bound. The visited set carries no trace links and
+// the frontier only ids: each state is decoded from its key, the raw program
+// state followed by one byte per location of SC memory. With lim.Reduce
+// the program-state prefix of every key is canonicalized under thread
+// symmetry before interning: SC memory is indexed by location, so
+// permuting interchangeable threads is an automorphism of the product,
+// and one state per orbit reaches the same projection set. The returned
+// set is safe for concurrent Has calls, so the weak explorations probe it
+// from all their workers.
 func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 	p := prog.New(program)
 	seen, reach := explore.NewSet(), explore.NewSet()
@@ -232,25 +236,23 @@ func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 		ws[w] = &worker{pj: NewProjector(p, lim), ps: p.InitStateRaw(), nxt: p.InitStateRaw()}
 	}
 	n := ws[0].pj.Len()
-	// add interns the successor in wk.nxt (with memory mem), folded to its
-	// orbit's representative, and queues it when new. The folded prefix
-	// is the state's projection key.
-	add := func(wk *worker, mem []byte, push func(int64)) {
+	// encode encodes the state in wk.nxt (with memory mem) into wk.key,
+	// folded to its orbit's representative. The folded prefix is the
+	// state's projection key.
+	encode := func(wk *worker, mem []byte) []byte {
 		wk.key = append(p.EncodeStateRaw(wk.key[:0], wk.nxt), mem...)
 		if wk.pj.sy != nil {
 			wk.pj.sy.CanonRaw(wk.key[:n])
 		}
-		if id, isNew := seen.Add(wk.key); isNew {
-			reach.Add(wk.key[:n])
-			push(id)
-		}
+		return wk.key
 	}
-	expand := func(w int, id int64, push func(int64)) bool {
-		if seen.Len() > lim.StateBound() {
-			return false // ErrBound below: the count only grows
-		}
+	// project files the projection of a new state.
+	project := func(w int, id int64, key []byte, tag uint8, next *explore.Batch) {
+		next.Add(key[:n], id, explore.Step{}, 0)
+	}
+	expand := func(w int, id int64, b *explore.Batch) bool {
 		wk := ws[w]
-		wk.cur = seen.AppendKey(wk.cur[:0], id)
+		wk.cur = append(wk.cur[:0], seen.Key(id)...)
 		p.DecodeState(wk.cur, wk.ps)
 		p.DecodeState(wk.cur, wk.nxt)
 		mem := wk.cur[n:]
@@ -264,7 +266,7 @@ func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 				if th.StepEpsInto(ts, &wk.nxt.Threads[t]) != nil {
 					break // a failed assert has no successors
 				}
-				add(wk, mem, push)
+				b.Add(encode(wk, mem), id, explore.Step{}, 0)
 			default:
 				op := th.Op(ts)
 				label, enabled := prog.SCLabel(op, lang.Val(mem[op.Loc]), program.ValCount)
@@ -276,16 +278,18 @@ func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 				if label.Typ != lang.LRead {
 					wk.nextMem[label.Loc] = byte(label.VW)
 				}
-				add(wk, wk.nextMem, push)
+				b.Add(encode(wk, wk.nextMem), id, explore.Step{}, 0)
 			}
 			wk.nxt.Threads[t].PC = ts.PC
 			copy(wk.nxt.Threads[t].Regs, ts.Regs)
 		}
 		return true
 	}
-	var root int64
-	add(ws[0], make([]byte, program.NumLocs()), func(id int64) { root = id })
-	explore.RunLevels(len(ws), [][]int64{{root}}, expand, nil, lim.RunOpts(seen.Len))
+	key := encode(ws[0], make([]byte, program.NumLocs()))
+	root, _ := seen.Add(key)
+	reach.Add(key[:n])
+	commits := []explore.Commit{{Into: seen, On: project, Limit: lim.StateBound()}, {Into: reach}}
+	explore.RunLevels(len(ws), [][]int64{{root}}, expand, commits, nil, lim.RunOpts(seen.Len))
 	if err := lim.Err(); err != nil {
 		return nil, err
 	}
