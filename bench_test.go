@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emit"
 	"repro/internal/litmus"
+	"repro/internal/model"
 	"repro/internal/parser"
 	"repro/internal/staterobust"
 )
@@ -110,7 +111,7 @@ func BenchmarkTSO(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := staterobust.CheckTSO(p, staterobust.Limits{MaxStates: 30_000_000, TSOBufCap: 4})
+				res, err := model.Check(model.ModeStateTSO, p, staterobust.Limits{MaxStates: 30_000_000, TSOBufCap: 4})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -20,12 +20,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/lang"
 	"repro/internal/litmus"
+	"repro/internal/model"
 	"repro/internal/parser"
 	"repro/internal/staterobust"
 )
 
 func main() {
-	model := flag.String("model", "ra", "weak model to compare against SC: ra, sra or tso")
+	memModel := flag.String("model", "ra", "weak model to compare against SC: ra, sra or tso")
 	maxStates := flag.Int("max", 4_000_000, "compound state bound")
 	bufCap := flag.Int("bufcap", 8, "TSO store-buffer capacity")
 	corpusName := flag.String("corpus", "", "explore a built-in corpus program")
@@ -53,28 +54,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	lim := staterobust.Limits{MaxStates: *maxStates, TSOBufCap: *bufCap}
-	var res *staterobust.Result
-	var err error
-	switch *model {
-	case "ra":
-		res, err = staterobust.CheckRA(program, lim)
-	case "sra":
-		res, err = staterobust.CheckSRA(program, lim)
-	case "tso":
-		res, err = staterobust.CheckTSO(program, lim)
-	default:
-		fatal(fmt.Errorf("unknown model %q", *model))
+	mode, ok := map[string]string{"ra": model.ModeStateRA, "sra": model.ModeStateSRA, "tso": model.ModeStateTSO}[*memModel]
+	if !ok {
+		fatal(fmt.Errorf("unknown model %q", *memModel))
 	}
+	res, err := model.Check(mode, program, staterobust.Limits{MaxStates: *maxStates, TSOBufCap: *bufCap})
 	if err != nil {
 		fatal(err)
 	}
 	if res.Robust {
 		fmt.Printf("%s: state ROBUST against %s (%d program states under both models; %d compound states explored)\n",
-			program.Name, *model, res.WeakStates, res.Explored)
+			program.Name, *memModel, res.WeakStates, res.Explored)
 	} else {
 		fmt.Printf("%s: NOT state robust against %s (SC reaches %d program states; witness run:)\n",
-			program.Name, *model, res.SCStates)
+			program.Name, *memModel, res.SCStates)
 		fmt.Print(core.FormatTrace(program, res.WitnessTrace))
 		os.Exit(1)
 	}

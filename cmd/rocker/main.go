@@ -58,11 +58,11 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/lang"
 	"repro/internal/litmus"
 	"repro/internal/model"
 	"repro/internal/parser"
-	"repro/internal/staterobust"
 )
 
 // main delegates to run so that the profiling defers flush on every exit
@@ -333,9 +333,9 @@ func matrixCell(mode string, p *lang.Program, opts model.RunOpts) string {
 	switch {
 	case err == nil:
 		return model.Cell(rr)
-	case errors.Is(err, core.ErrStateBound) || errors.Is(err, staterobust.ErrBound):
+	case errors.Is(err, explore.ErrBound):
 		return "bound"
-	case errors.Is(err, core.ErrCanceled) || errors.Is(err, staterobust.ErrCanceled):
+	case errors.Is(err, explore.ErrCanceled):
 		return "timeout"
 	}
 	fatal(err)

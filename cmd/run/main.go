@@ -18,15 +18,13 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/litmus"
-	"repro/internal/memra"
-	"repro/internal/memsc"
-	"repro/internal/memtso"
+	"repro/internal/model"
 	"repro/internal/parser"
 	"repro/internal/prog"
 )
 
 func main() {
-	model := flag.String("model", "ra", "memory model: sc, ra, sra or tso")
+	memModel := flag.String("model", "ra", "memory model: sc, ra, sra or tso")
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	tries := flag.Int("tries", 1, "number of runs (distinct seeds from -seed up)")
 	maxSteps := flag.Int("maxsteps", 10_000, "step budget per run")
@@ -55,10 +53,15 @@ func main() {
 		os.Exit(2)
 	}
 
+	newMachine, ok := machines[*memModel]
+	if !ok {
+		fatal(fmt.Errorf("unknown model %q", *memModel))
+	}
+	mm := newMachine(program)
 	for i := 0; i < *tries; i++ {
 		s := *seed + int64(i)
 		verbose := *tries == 1
-		if runOnce(program, *model, s, *maxSteps, verbose) && !verbose {
+		if runOnce(program, mm, s, *maxSteps, verbose) && !verbose {
 			fmt.Printf("seed %d: assertion failed — weak outcome found; replay with -seed %d -tries 1\n", s, s)
 			os.Exit(1)
 		}
@@ -68,94 +71,82 @@ func main() {
 	}
 }
 
-// runOnce simulates one run; returns true if an assertion failed.
-func runOnce(program *lang.Program, model string, seed int64, maxSteps int, verbose bool) bool {
+// machines are the memory models run can simulate.
+var machines = map[string]func(*lang.Program) model.MemoryModel{
+	"sc":  model.NewSC,
+	"ra":  func(p *lang.Program) model.MemoryModel { return model.NewRA(p, 0) },
+	"sra": func(p *lang.Program) model.MemoryModel { return model.NewSRA(p, 0) },
+	"tso": func(p *lang.Program) model.MemoryModel { return model.NewTSO(p, 0) },
+}
+
+// runOnce simulates one run, picking uniformly among the enabled moves —
+// a thread's local step, each transition the memory offers its pending
+// operation (model.MemoryModel.Steps), and each memory-internal step
+// (Internal); returns true if an assertion failed.
+func runOnce(program *lang.Program, mm model.MemoryModel, seed int64, maxSteps int, verbose bool) bool {
 	rng := rand.New(rand.NewSource(seed))
 	p := prog.New(program)
 	st := p.InitStateRaw()
-	scMem := memsc.New(program.NumLocs())
-	raMem := memra.New(program.NumLocs(), program.NumThreads())
-	tsoMem := memtso.New(program.NumLocs(), program.NumThreads())
-	sra := model == "sra"
+	m := mm.Init()
 
 	say := func(format string, args ...any) {
 		if verbose {
 			fmt.Printf(format+"\n", args...)
 		}
 	}
+	// A move is a thread's local step (succ.M nil), a labelled memory
+	// step, or an internal one (flush).
+	type move struct {
+		t        int
+		succ     model.Succ
+		internal bool
+	}
+	var moves []move
+	var succs []model.Succ
 	for step := 0; step < maxSteps; step++ {
-		// Collect the enabled moves.
-		type move struct {
-			t     int
-			flush bool
-		}
-		var moves []move
+		moves = moves[:0]
 		for t := range p.Threads {
 			th := &p.Threads[t]
 			ts := st.Threads[t]
-			if th.Terminated(ts) {
-				continue
-			}
-			if th.AtEps(ts) {
+			switch {
+			case th.Terminated(ts):
+			case th.AtEps(ts):
 				moves = append(moves, move{t: t})
-				continue
-			}
-			op := th.Op(ts)
-			enabled := false
-			switch model {
-			case "sc":
-				_, enabled = prog.SCLabel(op, scMem[op.Loc], program.ValCount)
-			case "ra", "sra":
-				enabled = raEnabled(raMem, lang.Tid(t), op, sra)
-			case "tso":
-				enabled = tsoEnabled(tsoMem, lang.Tid(t), op)
 			default:
-				fatal(fmt.Errorf("unknown model %q", model))
-			}
-			if enabled {
-				moves = append(moves, move{t: t})
-			}
-		}
-		if model == "tso" {
-			for t := 0; t < program.NumThreads(); t++ {
-				if tsoMem.CanFlush(lang.Tid(t)) {
-					moves = append(moves, move{t: t, flush: true})
+				succs = mm.Steps(succs[:0], m, lang.Tid(t), th.Op(ts))
+				for _, s := range succs {
+					moves = append(moves, move{t: t, succ: model.Succ{M: s.M.Clone(), Lab: s.Lab}})
 				}
+			}
+			succs = mm.Internal(succs[:0], m, lang.Tid(t))
+			for _, s := range succs {
+				moves = append(moves, move{t: t, succ: model.Succ{M: s.M.Clone()}, internal: true})
 			}
 		}
 		if len(moves) == 0 {
 			break // all terminated or blocked
 		}
 		mv := moves[rng.Intn(len(moves))]
-		if mv.flush {
-			tsoMem.Flush(lang.Tid(mv.t))
-			say("%3d: %s: (flush)", step, program.Threads[mv.t].Name)
-			continue
-		}
+		name := program.Threads[mv.t].Name
 		th := &p.Threads[mv.t]
 		ts := st.Threads[mv.t]
-		if th.AtEps(ts) {
+		switch {
+		case mv.internal:
+			say("%3d: %s: (flush)", step, name)
+		case mv.succ.M == nil:
 			next, afail := th.StepEps(ts)
 			if afail != nil {
-				say("%3d: %s: ASSERTION FAILED at pc %d", step, program.Threads[mv.t].Name, afail.PC)
+				say("%3d: %s: ASSERTION FAILED at pc %d", step, name, afail.PC)
 				return true
 			}
 			st.Threads[mv.t] = next
 			continue
+		default:
+			st.Threads[mv.t] = th.ApplyRaw(ts, mv.succ.Lab)
+			say("%3d: %s: %s", step, name, program.FmtLabel(mv.succ.Lab))
 		}
-		op := th.Op(ts)
-		var label lang.Label
-		switch model {
-		case "sc":
-			label, _ = prog.SCLabel(op, scMem[op.Loc], program.ValCount)
-			scMem.Step(label)
-		case "ra", "sra":
-			label = raStep(rng, raMem, lang.Tid(mv.t), op, sra, program.ValCount)
-		case "tso":
-			label = tsoStep(tsoMem, lang.Tid(mv.t), op, program.ValCount)
-		}
-		st.Threads[mv.t] = th.ApplyRaw(ts, label)
-		say("%3d: %s: %s", step, program.Threads[mv.t].Name, program.FmtLabel(label))
+		m = mv.succ.M
+		mm.Canon(m)
 	}
 	if verbose {
 		fmt.Println("final registers:")
@@ -168,144 +159,6 @@ func runOnce(program *lang.Program, model string, seed int64, maxSteps int, verb
 		}
 	}
 	return false
-}
-
-func raEnabled(m *memra.State, tid lang.Tid, op prog.MemOp, sra bool) bool {
-	switch op.Kind {
-	case prog.OpWrite:
-		return true
-	case prog.OpRead:
-		return len(m.ReadCandidates(tid, op.Loc)) > 0
-	case prog.OpWait:
-		for _, msg := range m.ReadCandidates(tid, op.Loc) {
-			if msg.Val == op.WVal {
-				return true
-			}
-		}
-		return false
-	case prog.OpCAS:
-		return len(m.ReadCandidates(tid, op.Loc)) > 0
-	case prog.OpBCAS:
-		cands := m.RMWCandidates(tid, op.Loc)
-		if sra {
-			cands = m.RMWCandidatesSRA(tid, op.Loc)
-		}
-		for _, msg := range cands {
-			if msg.Val == op.Exp {
-				return true
-			}
-		}
-		return false
-	default: // FADD, XCHG
-		if sra {
-			return len(m.RMWCandidatesSRA(tid, op.Loc)) > 0
-		}
-		return len(m.RMWCandidates(tid, op.Loc)) > 0
-	}
-}
-
-func raStep(rng *rand.Rand, m *memra.State, tid lang.Tid, op prog.MemOp, sra bool, valCount int) lang.Label {
-	pick := func(msgs []memra.Msg) memra.Msg { return msgs[rng.Intn(len(msgs))] }
-	switch op.Kind {
-	case prog.OpWrite:
-		var slot memra.Time
-		if sra {
-			slot = m.WriteSlotSRA(op.Loc)
-		} else {
-			slots := m.WriteSlots(tid, op.Loc, 3)
-			slot = slots[rng.Intn(len(slots))]
-		}
-		m.Write(tid, op.Loc, op.WVal, slot)
-		return lang.WriteLab(op.Loc, op.WVal)
-	case prog.OpRead:
-		msg := pick(m.ReadCandidates(tid, op.Loc))
-		m.Read(tid, msg)
-		return lang.ReadLab(op.Loc, msg.Val)
-	case prog.OpWait:
-		var ok []memra.Msg
-		for _, msg := range m.ReadCandidates(tid, op.Loc) {
-			if msg.Val == op.WVal {
-				ok = append(ok, msg)
-			}
-		}
-		msg := pick(ok)
-		m.Read(tid, msg)
-		return lang.ReadLab(op.Loc, msg.Val)
-	case prog.OpCAS, prog.OpBCAS:
-		cands := m.RMWCandidates(tid, op.Loc)
-		if sra {
-			cands = m.RMWCandidatesSRA(tid, op.Loc)
-		}
-		var succ []memra.Msg
-		for _, msg := range cands {
-			if msg.Val == op.Exp {
-				succ = append(succ, msg)
-			}
-		}
-		if len(succ) > 0 && (op.Kind == prog.OpBCAS || rng.Intn(2) == 0) {
-			msg := pick(succ)
-			m.RMW(tid, msg, op.New)
-			return lang.RMWLab(op.Loc, msg.Val, op.New)
-		}
-		var fail []memra.Msg
-		for _, msg := range m.ReadCandidates(tid, op.Loc) {
-			if msg.Val != op.Exp {
-				fail = append(fail, msg)
-			}
-		}
-		if len(fail) == 0 {
-			msg := pick(succ)
-			m.RMW(tid, msg, op.New)
-			return lang.RMWLab(op.Loc, msg.Val, op.New)
-		}
-		msg := pick(fail)
-		m.Read(tid, msg)
-		return lang.ReadLab(op.Loc, msg.Val)
-	default: // FADD, XCHG
-		cands := m.RMWCandidates(tid, op.Loc)
-		if sra {
-			cands = m.RMWCandidatesSRA(tid, op.Loc)
-		}
-		msg := pick(cands)
-		vw := op.New
-		if op.Kind == prog.OpFADD {
-			vw = lang.Val((int(msg.Val) + int(op.Add)) % valCount)
-		}
-		m.RMW(tid, msg, vw)
-		return lang.RMWLab(op.Loc, msg.Val, vw)
-	}
-}
-
-func tsoEnabled(m *memtso.State, tid lang.Tid, op prog.MemOp) bool {
-	switch op.Kind {
-	case prog.OpWrite:
-		return m.CanWrite(tid, 8)
-	case prog.OpRead:
-		return true
-	case prog.OpWait:
-		return m.Lookup(tid, op.Loc) == op.WVal
-	case prog.OpBCAS:
-		return m.BufEmpty(tid) && m.Mem[op.Loc] == op.Exp
-	default:
-		return m.BufEmpty(tid)
-	}
-}
-
-func tsoStep(m *memtso.State, tid lang.Tid, op prog.MemOp, valCount int) lang.Label {
-	switch op.Kind {
-	case prog.OpWrite:
-		m.Write(tid, op.Loc, op.WVal)
-		return lang.WriteLab(op.Loc, op.WVal)
-	case prog.OpRead, prog.OpWait:
-		return lang.ReadLab(op.Loc, m.Lookup(tid, op.Loc))
-	default:
-		cur := m.Mem[op.Loc]
-		label, _ := prog.SCLabel(op, cur, valCount)
-		if label.Typ == lang.LRMW {
-			m.RMW(tid, label.Loc, label.VR, label.VW)
-		}
-		return label
-	}
 }
 
 func fatal(err error) {

@@ -31,10 +31,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/litmus"
 	"repro/internal/model"
 	"repro/internal/parser"
-	"repro/internal/staterobust"
 )
 
 func main() {
@@ -83,7 +83,7 @@ func main() {
 			v, verr = core.Verify(p, core.Options{AbstractVals: true, HashCompact: true, Workers: *workers, Ctx: ctx, StaticPrune: *prune, Reduce: !*noReduce})
 			return verr
 		})
-		if errors.Is(err, core.ErrCanceled) {
+		if errors.Is(err, explore.ErrCanceled) {
 			fmt.Printf("%-22s %10s %12s\n", name, "-", "timed out")
 			return
 		}
@@ -101,7 +101,7 @@ func main() {
 			sc, verr = core.VerifySC(p, core.Options{Workers: *workers, Ctx: ctx, Reduce: !*noReduce})
 			return verr
 		})
-		if errors.Is(err, core.ErrCanceled) {
+		if errors.Is(err, explore.ErrCanceled) {
 			fmt.Printf("%-22s %10d %12v %10s %12s\n", name, v.States, v.Elapsed.Round(time.Millisecond), "-", "timed out")
 			return
 		}
@@ -210,10 +210,10 @@ func matrixMain(spec, jsonOut string, maxStates, workers int, timeout time.Durat
 				c.ElapsedMs = float64(rr.Elapsed) / float64(time.Millisecond)
 				cell := fmt.Sprintf("%s %v", model.Cell(rr), rr.Elapsed.Round(time.Millisecond))
 				fmt.Printf("  %s%*s", cell, pad(20, cell), "")
-			case errors.Is(err, core.ErrStateBound) || errors.Is(err, staterobust.ErrBound):
+			case errors.Is(err, explore.ErrBound):
 				c.Status = "bound"
 				fmt.Printf("  %-20s", "bound")
-			case errors.Is(err, core.ErrCanceled) || errors.Is(err, staterobust.ErrCanceled):
+			case errors.Is(err, explore.ErrCanceled):
 				c.Status = "timeout"
 				fmt.Printf("  %-20s", "timeout")
 			default:

@@ -23,7 +23,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -127,15 +126,14 @@ type Progress struct {
 	Expanded int64
 }
 
-// ErrCanceled is returned (wrapped, with the context's cause) when
-// Options.Ctx is cancelled before the exploration completes. A cancelled
-// run never reports a verdict: the state space was only partially
-// explored, so "robust so far" would be unsound to return.
-var ErrCanceled = errors.New("core: verification canceled")
+// ErrCanceled is explore.ErrCanceled, returned (wrapped, with the
+// context's cause) when Options.Ctx is cancelled before the exploration
+// completes.
+var ErrCanceled = explore.ErrCanceled
 
 // canceled wraps ctx's cause in ErrCanceled.
 func canceled(ctx context.Context) error {
-	return fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
+	return fmt.Errorf("%w: %w", explore.ErrCanceled, context.Cause(ctx))
 }
 
 // ctxPollMask gates the sequential loops' context polls: the context is
@@ -201,8 +199,8 @@ type Verdict struct {
 	Analysis *analysis.Result
 }
 
-// ErrStateBound is returned when MaxStates is exceeded.
-var ErrStateBound = fmt.Errorf("core: state bound exceeded")
+// ErrStateBound is explore.ErrBound, returned when MaxStates is exceeded.
+var ErrStateBound = explore.ErrBound
 
 // verifier bundles the immutable per-run machinery shared by the
 // sequential and parallel paths: the compiled program, the monitor (both
@@ -469,7 +467,7 @@ func Verify(program *lang.Program, opts Options) (*Verdict, error) {
 			break
 		}
 		if opts.MaxStates > 0 && store.Len() > opts.MaxStates {
-			return nil, fmt.Errorf("%w (%d states)", ErrStateBound, store.Len())
+			return nil, fmt.Errorf("%w (%d states)", explore.ErrBound, store.Len())
 		}
 		if opts.Ctx != nil && expanded&ctxPollMask == 0 && opts.Ctx.Err() != nil {
 			return nil, canceled(opts.Ctx)

@@ -255,7 +255,7 @@ func verifyParallel(program *lang.Program, opts Options) (*Verdict, error) {
 		verdict.SymmetryFolds += ws.cSym
 	}
 	if bound {
-		return nil, fmt.Errorf("%w (%d states)", ErrStateBound, store.Len())
+		return nil, fmt.Errorf("%w (%d states)", explore.ErrBound, store.Len())
 	}
 	if assertFail != nil {
 		verdict.Robust = false
@@ -440,7 +440,7 @@ func verifySCParallel(program *lang.Program, opts Options) (*SCVerdict, error) {
 		verdict.SymmetryFolds += ws.cSym
 	}
 	if bound {
-		return nil, ErrStateBound
+		return nil, explore.ErrBound
 	}
 	verdict.Elapsed = time.Since(start)
 	return verdict, nil

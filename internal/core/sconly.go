@@ -172,7 +172,7 @@ func VerifySC(program *lang.Program, opts Options) (*SCVerdict, error) {
 			break
 		}
 		if opts.MaxStates > 0 && store.Len() > opts.MaxStates {
-			return nil, ErrStateBound
+			return nil, explore.ErrBound
 		}
 		if opts.Ctx != nil && expanded&ctxPollMask == 0 && opts.Ctx.Err() != nil {
 			return nil, canceled(opts.Ctx)

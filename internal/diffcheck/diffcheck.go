@@ -24,13 +24,14 @@
 //   - Model monotonicity: SRA behaviours are a subset of RA behaviours,
 //     so RA-robust implies SRA-robust along both routes.
 //   - Instrumented vs exhaustive TSO: the lazy single-delayer machine
-//     (model.CheckTSO) and the full store-buffer product
-//     (staterobust.CheckTSO) decide the same Definition 2.6 question, so
-//     their verdicts must agree exactly, and on robust programs the lazy
-//     exploration — a subset of the full product by construction — can
-//     never count more states. The comparison is skipped when either run
-//     hits the store-buffer capacity: both truncations under-approximate
-//     and the subset relation between them is no longer a theorem.
+//     (mode tso, model.CheckTSO) and the full store-buffer product (mode
+//     state-tso, model.CheckState with model.NewTSO) decide the same
+//     Definition 2.6 question, so their verdicts must agree exactly, and
+//     on robust programs the lazy exploration — a subset of the full
+//     product by construction — can never count more states. The
+//     comparison is skipped when either run hits the store-buffer
+//     capacity: both truncations under-approximate and the subset
+//     relation between them is no longer a theorem.
 //   - Thread symmetry under TSO: with a copy of one thread appended, so
 //     that two threads are interchangeable, model.CheckTSO with
 //     Limits.Reduce (the compound states folded) must match the unfolded
@@ -270,7 +271,7 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 	verify := func(name string, prg *lang.Program, opts core.Options) (*core.Verdict, bool) {
 		v, err := core.Verify(prg, opts)
 		if err != nil {
-			if errors.Is(err, core.ErrStateBound) {
+			if errors.Is(err, explore.ErrBound) {
 				r.skip(name)
 			} else {
 				r.addf("engine-error", src, "%s: %v", name, err)
@@ -291,7 +292,7 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 			res, err = staterobust.CheckRA(prg, lim)
 		}
 		if err != nil {
-			if errors.Is(err, staterobust.ErrBound) {
+			if errors.Is(err, explore.ErrBound) {
 				r.skip(name)
 			} else {
 				r.addf("engine-error", src, "%s: %v", name, err)
@@ -448,7 +449,7 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 		}
 		if stOK && !stRA.Robust {
 			if err := staterobust.ReplayWitness(p, stRA.WitnessTrace, false, lim); err != nil {
-				if errors.Is(err, staterobust.ErrBound) {
+				if errors.Is(err, explore.ErrBound) {
 					r.skip("witness-replay-ra")
 				} else {
 					r.addf("witness-replay-ra", src, "RA-machine witness does not replay: %v", err)
@@ -457,7 +458,7 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 		}
 		if stSraOK && !stSRA.Robust {
 			if err := staterobust.ReplayWitness(p, stSRA.WitnessTrace, true, lim); err != nil {
-				if errors.Is(err, staterobust.ErrBound) {
+				if errors.Is(err, explore.ErrBound) {
 					r.skip("witness-replay-sra")
 				} else {
 					r.addf("witness-replay-ra", src, "SRA-machine witness does not replay: %v", err)
@@ -474,27 +475,27 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 	// usually means a bound skip on the other.
 	if !cfg.SkipTSO {
 		tsoLim := staterobust.Limits{MaxStates: cfg.tsoMaxStates(), Workers: 1}
-		runTSO := func(name string, check func(*lang.Program, staterobust.Limits) (*staterobust.Result, error)) (*staterobust.Result, bool) {
-			res, err := check(p, tsoLim)
+		runTSO := func(mode string) (*staterobust.Result, bool) {
+			res, err := model.Check(mode, p, tsoLim)
 			if err != nil {
-				if errors.Is(err, staterobust.ErrBound) {
-					r.skip(name)
+				if errors.Is(err, explore.ErrBound) {
+					r.skip(mode)
 				} else {
-					r.addf("engine-error", src, "%s: %v", name, err)
+					r.addf("engine-error", src, "%s: %v", mode, err)
 				}
 				return nil, false
 			}
 			return res, true
 		}
-		inst, instOK := runTSO("tso", model.CheckTSO)
+		inst, instOK := runTSO(model.ModeTSO)
 		var (
 			exh   *staterobust.Result
 			exhOK bool
 		)
 		if instOK {
-			exh, exhOK = runTSO("state-tso", staterobust.CheckTSO)
+			exh, exhOK = runTSO(model.ModeStateTSO)
 		} else {
-			r.skip("state-tso")
+			r.skip(model.ModeStateTSO)
 		}
 		switch {
 		case !instOK || !exhOK:
@@ -509,7 +510,7 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 		}
 		if instOK && !inst.Robust {
 			if err := model.ReplayTSO(p, inst.WitnessTrace, tsoLim); err != nil {
-				if errors.Is(err, staterobust.ErrBound) {
+				if errors.Is(err, explore.ErrBound) {
 					r.skip("witness-replay-tso")
 				} else {
 					r.addf("witness-replay-tso", src, "instrumented-TSO witness does not replay: %v", err)
@@ -581,7 +582,7 @@ func checkTSOSymmetry(r *Report, p *lang.Program, lim staterobust.Limits) {
 	check := func(name string, run func() (*staterobust.Result, error)) (*staterobust.Result, bool) {
 		res, err := run()
 		if err != nil {
-			if errors.Is(err, staterobust.ErrBound) {
+			if errors.Is(err, explore.ErrBound) {
 				r.skip(name)
 			} else {
 				r.addf("engine-error", src, "%s: %v", name, err)
@@ -597,7 +598,7 @@ func checkTSOSymmetry(r *Report, p *lang.Program, lim staterobust.Limits) {
 	}
 	if !on.Robust {
 		if err := model.ReplayTSO(twin, on.WitnessTrace, lim); err != nil {
-			if errors.Is(err, staterobust.ErrBound) {
+			if errors.Is(err, explore.ErrBound) {
 				r.skip("witness-replay-tso-symmetry")
 			} else {
 				r.addf("tso-symmetry", src, "folded witness does not replay: %v", err)
@@ -687,7 +688,7 @@ func checkFenceMonotone(r *Report, p *lang.Program, src string, cfg Config) {
 	if err != nil || !pre.Robust {
 		// A bound, or a weakness the shared headroom exposes on the
 		// baseline itself: the monotone premise is gone either way.
-		if errors.Is(err, staterobust.ErrBound) {
+		if errors.Is(err, explore.ErrBound) {
 			r.skip("fence-monotone")
 		} else if err != nil {
 			r.addf("engine-error", src, "fence-monotone baseline: %v", err)
@@ -696,7 +697,7 @@ func checkFenceMonotone(r *Report, p *lang.Program, src string, cfg Config) {
 	}
 	post, err := staterobust.CheckRA(mutant, lim)
 	if err != nil {
-		if errors.Is(err, staterobust.ErrBound) {
+		if errors.Is(err, explore.ErrBound) {
 			r.skip("fence-monotone")
 		} else {
 			r.addf("engine-error", src, "fence-monotone mutant: %v", err)

@@ -10,7 +10,22 @@
 // Spin's multi-core mode replaced by RunParallel over a Sharded store.
 package explore
 
-import "repro/internal/lang"
+import (
+	"errors"
+
+	"repro/internal/lang"
+)
+
+// ErrBound is the one state-bound error of every checker built on this
+// package: an exploration grew past its state bound (Commit.Limit), so it
+// reports no verdict.
+var ErrBound = errors.New("state bound exceeded")
+
+// ErrCanceled is the one cancellation error of every checker built on
+// this package, returned wrapped with the context's cause when the run's
+// context (RunOpts.Ctx) is cancelled before the exploration completes. A
+// cancelled run never reports a verdict: "robust so far" would be unsound.
+var ErrCanceled = errors.New("exploration canceled")
 
 // Internal tags a trace step that is not a program action. It is a one-byte
 // enum rather than a description string: a Step is recorded per stored state

@@ -322,7 +322,7 @@ type search struct {
 // of q, otherwise the oracle's answer.
 func (s *search) robust(q *lang.Program) (bool, error) {
 	if ctx := s.opts.Ctx; ctx != nil && ctx.Err() != nil {
-		return false, fmt.Errorf("%w: %w", core.ErrCanceled, context.Cause(ctx))
+		return false, fmt.Errorf("%w: %w", explore.ErrCanceled, context.Cause(ctx))
 	}
 	c, err := newCandidate(s.p, q, s.opts)
 	if err != nil {

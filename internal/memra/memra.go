@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/lang"
+	"repro/internal/prog"
 )
 
 // Time is a timestamp (§3: Time ≜ ℕ).
@@ -173,28 +174,15 @@ func (s *State) insertCopy(x lang.Loc, v lang.Val, t Time, view View) {
 	s.Msgs[i] = Msg{Loc: x, Val: v, T: t, View: spare}
 }
 
-// ReadCandidates returns the messages of x thread tid may read: those with
-// timestamp ≥ the thread's view of x (Figure 3, read rule).
-func (s *State) ReadCandidates(tid lang.Tid, x lang.Loc) []Msg {
-	return s.AppendReadCandidates(nil, tid, x)
-}
-
-// AppendReadCandidates is ReadCandidates appending into dst — candidate
-// enumeration into caller scratch. The returned Msgs alias s's views and
-// stay valid while s is unmodified.
-func (s *State) AppendReadCandidates(dst []Msg, tid lang.Tid, x lang.Loc) []Msg {
-	min := s.Views[tid][x]
-	for i := range s.Msgs {
-		if s.Msgs[i].Loc == x && s.Msgs[i].T >= min {
-			dst = append(dst, s.Msgs[i])
-		}
-	}
-	return dst
+// readable reports whether thread tid may read message m of x: its
+// timestamp is at least the thread's view of x (Figure 3, read rule).
+func (s *State) readable(tid lang.Tid, x lang.Loc, m *Msg) bool {
+	return m.Loc == x && m.T >= s.Views[tid][x]
 }
 
 // Read performs the read transition of thread tid from message m
-// (incorporating m's view into the thread view). The caller must pass a
-// message returned by ReadCandidates.
+// (incorporating m's view into the thread view). m must be a message
+// tid may read, as Machine.AppendSteps lists them.
 func (s *State) Read(tid lang.Tid, m Msg) {
 	s.Views[tid].Join(m.View)
 	if s.Views[tid][m.Loc] < m.T {
@@ -202,30 +190,9 @@ func (s *State) Read(tid lang.Tid, m Msg) {
 	}
 }
 
-// WriteSlots returns the timestamps thread tid may pick for a new message
-// of x: free slots strictly above the thread's view, up to headroom slots
-// past the current maximal timestamp. A headroom of 1 suffices to simulate
-// SC; larger headrooms allow later writes to be interleaved mo-before this
-// one (see package comment on exactness).
-func (s *State) WriteSlots(tid lang.Tid, x lang.Loc, headroom int) []Time {
-	return s.AppendWriteSlots(nil, tid, x, headroom)
-}
-
-// AppendWriteSlots is WriteSlots appending into dst.
-func (s *State) AppendWriteSlots(dst []Time, tid lang.Tid, x lang.Loc, headroom int) []Time {
-	lo := s.Views[tid][x] + 1
-	hi := s.maxT(x) + Time(headroom)
-	for t := lo; t <= hi; t++ {
-		if !s.hasMsgAt(x, t) {
-			dst = append(dst, t)
-		}
-	}
-	return dst
-}
-
 // Write performs the write transition of thread tid: a new message
 // ⟨x=v@t, view⟩ where the view is the thread's updated view (Figure 3,
-// write rule). t must come from WriteSlots.
+// write rule). t must be a slot Machine.AppendSteps lists.
 func (s *State) Write(tid lang.Tid, x lang.Loc, v lang.Val, t Time) {
 	s.Views[tid][x] = t
 	s.insertCopy(x, v, t, s.Views[tid])
@@ -241,43 +208,6 @@ func (s *State) WriteSlotSRA(x lang.Loc) Time {
 	return s.maxT(x) + 1
 }
 
-// RMWCandidatesSRA returns the messages an SRA RMW may read: the RMW's
-// write must also be maximal, so only the mo-maximal message qualifies
-// (and only if the thread's view permits reading it, which it always
-// does for the maximum).
-func (s *State) RMWCandidatesSRA(tid lang.Tid, x lang.Loc) []Msg {
-	return s.AppendRMWCandidatesSRA(nil, tid, x)
-}
-
-// AppendRMWCandidatesSRA is RMWCandidatesSRA appending into dst.
-func (s *State) AppendRMWCandidatesSRA(dst []Msg, tid lang.Tid, x lang.Loc) []Msg {
-	min := s.Views[tid][x]
-	maxT := s.maxT(x)
-	for i := range s.Msgs {
-		if s.Msgs[i].Loc == x && s.Msgs[i].T >= min && s.Msgs[i].T == maxT {
-			dst = append(dst, s.Msgs[i])
-		}
-	}
-	return dst
-}
-
-// RMWCandidates returns the messages of x thread tid may read in an RMW:
-// readable messages whose successor timestamp is free (Figure 3, RMW rule).
-func (s *State) RMWCandidates(tid lang.Tid, x lang.Loc) []Msg {
-	return s.AppendRMWCandidates(nil, tid, x)
-}
-
-// AppendRMWCandidates is RMWCandidates appending into dst.
-func (s *State) AppendRMWCandidates(dst []Msg, tid lang.Tid, x lang.Loc) []Msg {
-	min := s.Views[tid][x]
-	for i := range s.Msgs {
-		if s.Msgs[i].Loc == x && s.Msgs[i].T >= min && !s.hasMsgAt(x, s.Msgs[i].T+1) {
-			dst = append(dst, s.Msgs[i])
-		}
-	}
-	return dst
-}
-
 // RMW performs the RMW transition of thread tid reading message m and
 // writing vW at timestamp m.T+1, with the combined view
 // TW = T(τ)[x ↦ t+1] ⊔ TR.
@@ -287,6 +217,110 @@ func (s *State) RMW(tid lang.Tid, m Msg, vW lang.Val) {
 	tv[m.Loc] = m.T + 1
 	s.insertCopy(m.Loc, vW, m.T+1, tv)
 }
+
+// Machine is the RA or SRA step relation of a program: the one
+// enumeration of the machine's transitions that every explorer, replay
+// and simulator of this repository drives.
+type Machine struct {
+	// SRA selects the SRA strengthening: a write, and an RMW's write,
+	// must pick a globally maximal timestamp (WriteSlotSRA).
+	SRA bool
+	// Headroom bounds the RA write slots: a write may pick any free
+	// timestamp strictly above the thread's view of the location, up to
+	// Headroom past its maximal timestamp (Figure 3, write rule). A
+	// headroom of 1 suffices to simulate SC; larger headrooms let later
+	// writes be interleaved mo-before this one (see the package comment
+	// on exactness). Headroom+1 is the gap cap of Canon.
+	Headroom int
+	// ValCount is the size of the program's value domain, which FADD
+	// wraps around.
+	ValCount int
+}
+
+// Trans is one transition of the machine under a memory operation: the
+// label the program observes, and the message it reads (read and RMW
+// labels) or the timestamp it writes at (write labels).
+type Trans struct {
+	Lab  lang.Label
+	Msg  Msg
+	Slot Time
+}
+
+// AppendSteps appends every transition of thread tid executing op in s,
+// in a fixed order: a write's slots in ascending order (SRA: the one
+// maximal slot); else the candidate messages in pool order — readable
+// messages (timestamp ≥ the thread's view, Figure 3 read rule) for a
+// read, filtered by a wait's value; for an RMW the readable messages
+// whose successor timestamp is free (Figure 3 RMW rule; SRA: the maximal
+// message only, which is always readable), filtered
+// by a CAS's expected value — and for a CAS then the failed-CAS plain
+// reads of any readable value ≠ Exp (Figure 2). The label a message of
+// value v gives an operation is prog.SCLabel's for v. The Msgs alias s's
+// views and stay valid while s is unmodified, so the caller applies a
+// transition into a state of its own (Apply).
+func (mc Machine) AppendSteps(dst []Trans, s *State, tid lang.Tid, op prog.MemOp) []Trans {
+	x := op.Loc
+	switch op.Kind {
+	case prog.OpWrite:
+		lab := lang.WriteLab(x, op.WVal)
+		if mc.SRA {
+			return append(dst, Trans{Lab: lab, Slot: s.WriteSlotSRA(x)})
+		}
+		for t, hi := s.Views[tid][x]+1, s.maxT(x)+Time(mc.Headroom); t <= hi; t++ {
+			if !s.hasMsgAt(x, t) {
+				dst = append(dst, Trans{Lab: lab, Slot: t})
+			}
+		}
+		return dst
+	case prog.OpRead, prog.OpWait:
+		return mc.appendReads(dst, s, tid, op)
+	}
+	maxT := s.maxT(x)
+	for i := range s.Msgs {
+		m := &s.Msgs[i]
+		if !s.readable(tid, x, m) || (mc.SRA && m.T != maxT) || (!mc.SRA && s.hasMsgAt(x, m.T+1)) {
+			continue
+		}
+		if lab, ok := prog.SCLabel(op, m.Val, mc.ValCount); ok && lab.Typ == lang.LRMW {
+			dst = append(dst, Trans{Lab: lab, Msg: *m})
+		}
+	}
+	if op.Kind == prog.OpCAS {
+		dst = mc.appendReads(dst, s, tid, op)
+	}
+	return dst
+}
+
+// appendReads appends the plain reads of op from the messages tid may
+// read: every one for a read, those of the awaited value for a wait, and
+// those of a value ≠ Exp for a CAS.
+func (mc Machine) appendReads(dst []Trans, s *State, tid lang.Tid, op prog.MemOp) []Trans {
+	for i := range s.Msgs {
+		if m := &s.Msgs[i]; s.readable(tid, op.Loc, m) {
+			if lab, ok := prog.SCLabel(op, m.Val, mc.ValCount); ok && lab.Typ == lang.LRead {
+				dst = append(dst, Trans{Lab: lab, Msg: *m})
+			}
+		}
+	}
+	return dst
+}
+
+// Apply performs transition tr of thread tid on s, which must equal the
+// state AppendSteps listed tr from (typically s is a copy of it).
+func (s *State) Apply(tid lang.Tid, tr Trans) {
+	switch tr.Lab.Typ {
+	case lang.LWrite:
+		s.Write(tid, tr.Lab.Loc, tr.Lab.VW, tr.Slot)
+	case lang.LRead:
+		s.Read(tid, tr.Msg)
+	case lang.LRMW:
+		s.RMW(tid, tr.Msg, tr.Lab.VW)
+	}
+}
+
+// Canon canonicalizes s with the machine's gap cap, Headroom+1 (see
+// Canonicalize).
+func (mc Machine) Canon(s *State) { s.Canonicalize(mc.Headroom + 1) }
 
 // Canonicalize re-ranks timestamps per location: order is preserved, and
 // each gap between consecutive message timestamps is clamped at gapCap.

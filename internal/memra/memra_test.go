@@ -7,7 +7,31 @@ import (
 	"repro/internal/egraph"
 	"repro/internal/lang"
 	"repro/internal/memra"
+	"repro/internal/prog"
 )
+
+// trans lists the RA machine's transitions of tid under op, with the given
+// write headroom.
+func trans(st *memra.State, tid lang.Tid, op prog.MemOp, headroom int) []memra.Trans {
+	return memra.Machine{Headroom: headroom}.AppendSteps(nil, st, tid, op)
+}
+
+// The operations of the random runs: a write of v, a read, and an RMW
+// (an exchange) writing v, all of x.
+func writeOp(x lang.Loc, v lang.Val) prog.MemOp {
+	return prog.MemOp{Kind: prog.OpWrite, Loc: x, WVal: v}
+}
+func readOp(x lang.Loc) prog.MemOp { return prog.MemOp{Kind: prog.OpRead, Loc: x} }
+func rmwOp(x lang.Loc, v lang.Val) prog.MemOp {
+	return prog.MemOp{Kind: prog.OpXCHG, Loc: x, New: v}
+}
+
+// stepRandom applies a random transition of tid under op, if it has any.
+func stepRandom(rng *rand.Rand, st *memra.State, tid lang.Tid, op prog.MemOp, headroom int) {
+	if trs := trans(st, tid, op, headroom); len(trs) > 0 {
+		st.Apply(tid, trs[rng.Intn(len(trs))])
+	}
+}
 
 // TestMachineStepsAreRAGSteps runs the timestamp machine of §3 and the
 // execution-graph system RAG of §4.2 in lockstep, mapping each message to
@@ -44,46 +68,41 @@ func TestMachineStepsAreRAGSteps(t *testing.T) {
 			x := lang.Loc(rng.Intn(numL))
 			switch rng.Intn(3) {
 			case 0: // write
-				slots := st.WriteSlots(tid, x, 3)
+				slots := trans(st, tid, writeOp(x, lang.Val(rng.Intn(3))), 3)
 				if len(slots) == 0 {
 					continue
 				}
-				ts := slots[rng.Intn(len(slots))]
-				v := lang.Val(rng.Intn(3))
-				w := predOf(x, ts)
-				l := lang.WriteLab(x, v)
-				if !g.RAGEnabled(int(tid), l, w) {
-					t.Fatalf("iter %d: machine write @%d not RAG-enabled after e%d:\n%s", iter, ts, w, g)
+				tr := slots[rng.Intn(len(slots))]
+				w := predOf(x, tr.Slot)
+				if !g.RAGEnabled(int(tid), tr.Lab, w) {
+					t.Fatalf("iter %d: machine write @%d not RAG-enabled after e%d:\n%s", iter, tr.Slot, w, g)
 				}
-				st.Write(tid, x, v, ts)
-				evOf[[2]int{int(x), int(ts)}] = g.Add(int(tid), l, w)
+				st.Apply(tid, tr)
+				evOf[[2]int{int(x), int(tr.Slot)}] = g.Add(int(tid), tr.Lab, w)
 			case 1: // read
-				cands := st.ReadCandidates(tid, x)
+				cands := trans(st, tid, readOp(x), 3)
 				if len(cands) == 0 {
 					continue
 				}
-				m := cands[rng.Intn(len(cands))]
-				w := evOf[[2]int{int(x), int(m.T)}]
-				l := lang.ReadLab(x, m.Val)
-				if !g.RAGEnabled(int(tid), l, w) {
-					t.Fatalf("iter %d: machine read of msg @%d not RAG-enabled from e%d:\n%s", iter, m.T, w, g)
+				tr := cands[rng.Intn(len(cands))]
+				w := evOf[[2]int{int(x), int(tr.Msg.T)}]
+				if !g.RAGEnabled(int(tid), tr.Lab, w) {
+					t.Fatalf("iter %d: machine read of msg @%d not RAG-enabled from e%d:\n%s", iter, tr.Msg.T, w, g)
 				}
-				st.Read(tid, m)
-				g.Add(int(tid), l, w)
+				st.Apply(tid, tr)
+				g.Add(int(tid), tr.Lab, w)
 			default: // RMW
-				cands := st.RMWCandidates(tid, x)
+				cands := trans(st, tid, rmwOp(x, lang.Val(rng.Intn(3))), 3)
 				if len(cands) == 0 {
 					continue
 				}
-				m := cands[rng.Intn(len(cands))]
-				w := evOf[[2]int{int(x), int(m.T)}]
-				vW := lang.Val(rng.Intn(3))
-				l := lang.RMWLab(x, m.Val, vW)
-				if !g.RAGEnabled(int(tid), l, w) {
-					t.Fatalf("iter %d: machine RMW of msg @%d not RAG-enabled from e%d:\n%s", iter, m.T, w, g)
+				tr := cands[rng.Intn(len(cands))]
+				w := evOf[[2]int{int(x), int(tr.Msg.T)}]
+				if !g.RAGEnabled(int(tid), tr.Lab, w) {
+					t.Fatalf("iter %d: machine RMW of msg @%d not RAG-enabled from e%d:\n%s", iter, tr.Msg.T, w, g)
 				}
-				st.RMW(tid, m, vW)
-				evOf[[2]int{int(x), int(m.T) + 1}] = g.Add(int(tid), l, w)
+				st.Apply(tid, tr)
+				evOf[[2]int{int(x), int(tr.Msg.T) + 1}] = g.Add(int(tid), tr.Lab, w)
 			}
 			if !g.RAConsistent() {
 				t.Fatalf("iter %d: graph inconsistent after machine-aligned run:\n%s", iter, g)
@@ -107,17 +126,11 @@ func TestCanonicalizePreservesOptions(t *testing.T) {
 			x := lang.Loc(rng.Intn(numL))
 			switch rng.Intn(3) {
 			case 0:
-				if slots := st.WriteSlots(tid, x, 4); len(slots) > 0 {
-					st.Write(tid, x, lang.Val(rng.Intn(3)), slots[rng.Intn(len(slots))])
-				}
+				stepRandom(rng, st, tid, writeOp(x, lang.Val(rng.Intn(3))), 4)
 			case 1:
-				if c := st.ReadCandidates(tid, x); len(c) > 0 {
-					st.Read(tid, c[rng.Intn(len(c))])
-				}
+				stepRandom(rng, st, tid, readOp(x), 4)
 			default:
-				if c := st.RMWCandidates(tid, x); len(c) > 0 {
-					st.RMW(tid, c[rng.Intn(len(c))], lang.Val(rng.Intn(3)))
-				}
+				stepRandom(rng, st, tid, rmwOp(x, lang.Val(rng.Intn(3))), 4)
 			}
 		}
 		type opts struct {
@@ -128,9 +141,9 @@ func TestCanonicalizePreservesOptions(t *testing.T) {
 			for tid := 0; tid < numT; tid++ {
 				for x := 0; x < numL; x++ {
 					out = append(out, opts{
-						reads: len(st.ReadCandidates(lang.Tid(tid), lang.Loc(x))),
-						rmws:  len(st.RMWCandidates(lang.Tid(tid), lang.Loc(x))),
-						slots: len(st.WriteSlots(lang.Tid(tid), lang.Loc(x), 3)),
+						reads: len(trans(st, lang.Tid(tid), readOp(lang.Loc(x)), 3)),
+						rmws:  len(trans(st, lang.Tid(tid), rmwOp(lang.Loc(x), 0), 3)),
+						slots: len(trans(st, lang.Tid(tid), writeOp(lang.Loc(x), 0), 3)),
 					})
 				}
 			}
@@ -156,9 +169,7 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 		for step := 0; step < 10; step++ {
 			tid := lang.Tid(rng.Intn(2))
 			x := lang.Loc(rng.Intn(2))
-			if slots := st.WriteSlots(tid, x, 5); len(slots) > 0 {
-				st.Write(tid, x, lang.Val(rng.Intn(2)), slots[rng.Intn(len(slots))])
-			}
+			stepRandom(rng, st, tid, writeOp(x, lang.Val(rng.Intn(2))), 5)
 		}
 		st.Canonicalize(3)
 		once := string(st.Encode(nil))
@@ -179,9 +190,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		for step := rng.Intn(10); step > 0; step-- {
 			tid := lang.Tid(rng.Intn(2))
 			x := lang.Loc(rng.Intn(2))
-			if slots := st.WriteSlots(tid, x, 5); len(slots) > 0 {
-				st.Write(tid, x, lang.Val(rng.Intn(2)), slots[rng.Intn(len(slots))])
-			}
+			stepRandom(rng, st, tid, writeOp(x, lang.Val(rng.Intn(2))), 5)
 		}
 		enc := st.Encode(nil)
 		if n := into.Decode(enc); n != len(enc) {

@@ -82,17 +82,11 @@ func TestThreadViewMonotone(t *testing.T) {
 			x := rng.Intn(2)
 			switch rng.Intn(3) {
 			case 0:
-				if slots := st.WriteSlots(lTid(tid), lLoc(x), 3); len(slots) > 0 {
-					st.Write(lTid(tid), lLoc(x), 1, slots[rng.Intn(len(slots))])
-				}
+				stepRandom(rng, st, lTid(tid), writeOp(lLoc(x), 1), 3)
 			case 1:
-				if c := st.ReadCandidates(lTid(tid), lLoc(x)); len(c) > 0 {
-					st.Read(lTid(tid), c[rng.Intn(len(c))])
-				}
+				stepRandom(rng, st, lTid(tid), readOp(lLoc(x)), 3)
 			default:
-				if c := st.RMWCandidates(lTid(tid), lLoc(x)); len(c) > 0 {
-					st.RMW(lTid(tid), c[rng.Intn(len(c))], 1)
-				}
+				stepRandom(rng, st, lTid(tid), rmwOp(lLoc(x), 1), 3)
 			}
 			for tv := 0; tv < 2; tv++ {
 				for loc := 0; loc < 2; loc++ {

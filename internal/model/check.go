@@ -13,9 +13,9 @@ import (
 // This file is the interface's robustness monitor for the state models:
 // a level-synchronous parallel explorer of the program × MemoryModel
 // product that compares every reached program-state projection against
-// the SC-reachable set (Definition 2.6). It is the engine under the
-// instrumented TSO checker (tsoattack.go), and the reference the
-// specialized staterobust engines are parity-tested against.
+// the SC-reachable set (Definition 2.6). It is the engine of both TSO
+// modes, state-tso (NewTSO) and the instrumented tso (tsoattack.go), and
+// the reference staterobust's RA explorer is parity-tested against.
 
 // CheckState decides state robustness of the program against the model:
 // it explores the ε-granular product of the program with mm (forked once
@@ -329,7 +329,7 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 		return nil, err
 	}
 	if store.Len() > lim.StateBound() {
-		return nil, staterobust.ErrBound
+		return nil, explore.ErrBound
 	}
 	res := &staterobust.Result{
 		Robust:     witness == nil,

@@ -3,9 +3,8 @@
 // matrix on top of it: one program in, a verdict per model out.
 //
 // Before this package, the four machines — SC (memsc), RA and SRA (memra),
-// and TSO (memtso) — were each wired ad hoc into their own explorer
-// (staterobust's ReachableSC, checkWeakRA, and CheckTSO). The interface
-// factors the wiring into its four roles:
+// and TSO (memtso) — were each wired ad hoc into their own explorer. The
+// interface factors the wiring into its four roles:
 //
 //   - init: the initial memory state for a program shape (Init);
 //   - step: the successors of a memory state under one program operation,
@@ -24,18 +23,18 @@
 //     internal/core and are dispatched by the registry (registry.go), not
 //     through this interface.
 //
-// CheckState (check.go) is the one product explorer behind the interface:
-// a level-synchronous parallel BFS on the sharded arena store, one model
-// instance (Fork) per worker, with every state decoded from its key. For
-// a machine with quiescent states (Quiescent: SC and TSO) it explores the
-// SC backbone inside the product, on raw memory bytes, rather than calling
-// staterobust.ReachableSC first. The
-// specialized staterobust engines remain the production paths for the
-// state-ra, state-sra and state-tso modes; the adapters here are pinned
-// equal to them by parity tests. The production user of the interface is
-// the polynomial instrumented TSO checker (tsoattack.go), whose
-// single-delayer machines are TSO adapter instances with a restricted
-// delayer set.
+// CheckState (check.go) is the one level-synchronous product explorer
+// behind the interface: a parallel BFS on the sharded arena store, one
+// model instance (Fork) per worker, with every state decoded from its
+// key. For a machine with quiescent states (Quiescent: SC and TSO) it
+// explores the SC backbone inside the product, on raw memory bytes,
+// rather than calling staterobust.ReachableSC first. It answers both TSO
+// modes: state-tso over the full machine (NewTSO), and tso, the
+// polynomial instrumented checker (tsoattack.go), over the lazy
+// single-delayer machine (NewTSOLazy). The RA and SRA adapters wrap the
+// one step enumeration of memra.Machine, which staterobust's
+// work-sharing RA explorer (the production path of state-ra and
+// state-sra) drives too; they are pinned equal to it by parity tests.
 package model
 
 import (
@@ -223,9 +222,8 @@ type tsoModel struct {
 	cur, next *tsoState
 }
 
-// NewTSO returns the full x86-TSO machine (memtso) as a MemoryModel.
-// bufCap bounds each store buffer (0 = 8, matching
-// staterobust.CheckTSO).
+// NewTSO returns the full x86-TSO machine (memtso) as a MemoryModel, the
+// machine of mode state-tso. bufCap bounds each store buffer (0 = 8).
 func NewTSO(program *lang.Program, bufCap int) MemoryModel {
 	return newTSO(program, bufCap, nil)
 }
@@ -409,11 +407,8 @@ func (s *raState) Encode(d []byte) []byte { return s.m.Encode(d) }
 
 type raModel struct {
 	numLocs, numThreads int
-	valCount            int
-	sra                 bool
-	headroom, gapCap    int
-	cands               []memra.Msg
-	slots               []memra.Time
+	mc                  memra.Machine
+	trans               []memra.Trans
 	cur                 *raState
 }
 
@@ -431,21 +426,19 @@ func NewSRA(program *lang.Program, headroom int) MemoryModel {
 }
 
 func newRA(program *lang.Program, headroom int, sra bool) MemoryModel {
-	if headroom <= 0 {
-		headroom = staterobust.RAHeadroom(program, staterobust.Limits{})
-	}
 	return &raModel{
 		numLocs:    program.NumLocs(),
 		numThreads: program.NumThreads(),
-		valCount:   program.ValCount,
-		sra:        sra,
-		headroom:   headroom,
-		gapCap:     headroom + 1,
+		mc: memra.Machine{
+			SRA:      sra,
+			Headroom: staterobust.RAHeadroom(program, staterobust.Limits{RAHeadroom: headroom}),
+			ValCount: program.ValCount,
+		},
 	}
 }
 
 func (mm *raModel) Name() string {
-	if mm.sra {
+	if mm.mc.SRA {
 		return "sra"
 	}
 	return "ra"
@@ -463,73 +456,19 @@ func (mm *raModel) Decode(d []byte) State {
 
 func (mm *raModel) Fork() MemoryModel {
 	c := *mm
-	c.cands, c.slots, c.cur = nil, nil, nil
+	c.trans, c.cur = nil, nil
 	return &c
 }
 
-// Steps mirrors staterobust.checkWeakRA's candidate enumeration exactly
-// (Figure 2 semantics): write slots (SRA: the single maximal slot), read
-// candidates filtered by a wait's expected value, RMW candidates with the
-// FADD/XCHG/CAS value computation, and the failed-CAS plain read.
+// Steps lists the transitions of memra.Machine.AppendSteps, the
+// enumeration staterobust's RA explorer uses, each applied to a copy of m.
 func (mm *raModel) Steps(dst []Succ, ms State, tid lang.Tid, op prog.MemOp) []Succ {
 	m := ms.(*raState).m
-	switch op.Kind {
-	case prog.OpWrite:
-		if mm.sra {
-			mm.slots = append(mm.slots[:0], m.WriteSlotSRA(op.Loc))
-		} else {
-			mm.slots = m.AppendWriteSlots(mm.slots[:0], tid, op.Loc, mm.headroom)
-		}
-		for _, slot := range mm.slots {
-			nm := m.Clone()
-			nm.Write(tid, op.Loc, op.WVal, slot)
-			dst = append(dst, Succ{M: &raState{nm}, Lab: lang.WriteLab(op.Loc, op.WVal)})
-		}
-	case prog.OpRead, prog.OpWait:
-		mm.cands = m.AppendReadCandidates(mm.cands[:0], tid, op.Loc)
-		for _, msg := range mm.cands {
-			if op.Kind == prog.OpWait && msg.Val != op.WVal {
-				continue
-			}
-			nm := m.Clone()
-			nm.Read(tid, msg)
-			dst = append(dst, Succ{M: &raState{nm}, Lab: lang.ReadLab(op.Loc, msg.Val)})
-		}
-	case prog.OpFADD, prog.OpXCHG, prog.OpCAS, prog.OpBCAS:
-		if mm.sra {
-			mm.cands = m.AppendRMWCandidatesSRA(mm.cands[:0], tid, op.Loc)
-		} else {
-			mm.cands = m.AppendRMWCandidates(mm.cands[:0], tid, op.Loc)
-		}
-		for _, msg := range mm.cands {
-			var vW lang.Val
-			switch op.Kind {
-			case prog.OpFADD:
-				vW = lang.Val((int(msg.Val) + int(op.Add)) % mm.valCount)
-			case prog.OpXCHG:
-				vW = op.New
-			case prog.OpCAS, prog.OpBCAS:
-				if msg.Val != op.Exp {
-					continue // handled as a plain read below for CAS
-				}
-				vW = op.New
-			}
-			nm := m.Clone()
-			nm.RMW(tid, msg, vW)
-			dst = append(dst, Succ{M: &raState{nm}, Lab: lang.RMWLab(op.Loc, msg.Val, vW)})
-		}
-		if op.Kind == prog.OpCAS {
-			// Failed CAS: a plain read of any value ≠ Exp (Figure 2).
-			mm.cands = m.AppendReadCandidates(mm.cands[:0], tid, op.Loc)
-			for _, msg := range mm.cands {
-				if msg.Val == op.Exp {
-					continue
-				}
-				nm := m.Clone()
-				nm.Read(tid, msg)
-				dst = append(dst, Succ{M: &raState{nm}, Lab: lang.ReadLab(op.Loc, msg.Val)})
-			}
-		}
+	mm.trans = mm.mc.AppendSteps(mm.trans[:0], m, tid, op)
+	for _, tr := range mm.trans {
+		nm := m.Clone()
+		nm.Apply(tid, tr)
+		dst = append(dst, Succ{M: &raState{nm}, Lab: tr.Lab})
 	}
 	return dst
 }
@@ -538,7 +477,7 @@ func (mm *raModel) Internal(dst []Succ, ms State, tid lang.Tid) []Succ { return 
 
 func (mm *raModel) Quiescent() *Quiescence { return nil }
 
-func (mm *raModel) Canon(ms State) { ms.(*raState).m.Canonicalize(mm.gapCap) }
+func (mm *raModel) Canon(ms State) { mm.mc.Canon(ms.(*raState).m) }
 
 func (mm *raModel) BoundHit() bool { return false }
 

@@ -7,46 +7,50 @@ import (
 	"repro/internal/staterobust"
 )
 
-// TestTSOAdapterParity pins the contract between the generic explorer and
-// the specialized engine: CheckState over the full TSO machine (NewTSO,
-// every buffer live) must reproduce staterobust.CheckTSO exactly — same
-// verdict, same compound-state count, same projection counts — because
-// both explore the same ε-granular product under the same state encoding.
-// This is what licenses using CheckState as the engine beneath the
-// instrumented checker.
+// TestTSOAdapterParity pins mode state-tso, CheckState over the full TSO
+// machine (NewTSO, every buffer live), against the independent sequential
+// explorer of tsooracle_test.go: same verdict, same compound-state count,
+// same projection counts — both explore the same ε-granular product under
+// the same state encoding. This is what licenses CheckState as the engine
+// of both TSO modes. With Reduce both fold the projections alike, and only
+// state-tso folds its compound states, so its Explored may only shrink.
 func TestTSOAdapterParity(t *testing.T) {
-	rows := []string{"barrier", "spinlock", "dekker-tso", "lamport2-tso", "dekker-sc", "peterson-sc"}
+	rows := []string{"barrier", "spinlock", "dekker-tso", "lamport2-tso", "dekker-sc", "peterson-sc",
+		"ticketlock4", "chase-lev-tso", "rcu-offline"}
 	for _, name := range rows {
 		e, err := litmus.Get(name)
 		if err != nil {
 			t.Fatalf("litmus.Get(%q): %v", name, err)
 		}
 		p := e.Program()
-		lim := staterobust.Limits{MaxStates: 2_000_000, TSOBufCap: 4}
-		got, err := CheckState(p, NewTSO(p, lim.TSOBufCap), lim)
-		if err != nil {
-			t.Fatalf("%s: CheckState: %v", name, err)
-		}
-		want, err := staterobust.CheckTSO(p, lim)
-		if err != nil {
-			t.Fatalf("%s: CheckTSO: %v", name, err)
-		}
-		if got.Robust != want.Robust {
-			t.Errorf("%s: Robust = %v, specialized engine says %v", name, got.Robust, want.Robust)
-		}
-		if got.SCStates != want.SCStates {
-			t.Errorf("%s: SCStates = %d, want %d", name, got.SCStates, want.SCStates)
-		}
-		// On robust rows both explorations are exhaustive, so the counts
-		// must match state for state. On non-robust rows both stop at the
-		// first violation; BFS order can differ, so only the verdict and the
-		// SC set are comparable.
-		if want.Robust {
-			if got.Explored != want.Explored {
-				t.Errorf("%s: Explored = %d, want %d", name, got.Explored, want.Explored)
+		for _, reduce := range []bool{false, true} {
+			lim := staterobust.Limits{MaxStates: 2_000_000, TSOBufCap: 4, Reduce: reduce}
+			got, err := Check(ModeStateTSO, p, lim)
+			if err != nil {
+				t.Fatalf("%s reduce=%v: state-tso: %v", name, reduce, err)
+			}
+			want, err := oracleCheckTSO(p, lim)
+			if err != nil {
+				t.Fatalf("%s reduce=%v: oracle: %v", name, reduce, err)
+			}
+			if got.Robust != want.Robust {
+				t.Errorf("%s reduce=%v: Robust = %v, oracle says %v", name, reduce, got.Robust, want.Robust)
+			}
+			if got.SCStates != want.SCStates {
+				t.Errorf("%s reduce=%v: SCStates = %d, want %d", name, reduce, got.SCStates, want.SCStates)
+			}
+			// On robust rows both explorations are exhaustive, so the
+			// counts must match state for state. On non-robust rows both
+			// stop at a violation, at different points, so only the
+			// verdict and the SC set are comparable.
+			if !want.Robust {
+				continue
 			}
 			if got.WeakStates != want.WeakStates {
-				t.Errorf("%s: WeakStates = %d, want %d", name, got.WeakStates, want.WeakStates)
+				t.Errorf("%s reduce=%v: WeakStates = %d, want %d", name, reduce, got.WeakStates, want.WeakStates)
+			}
+			if got.Explored > want.Explored || (!reduce && got.Explored != want.Explored) {
+				t.Errorf("%s reduce=%v: Explored = %d, oracle %d", name, reduce, got.Explored, want.Explored)
 			}
 		}
 	}

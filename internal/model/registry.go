@@ -59,7 +59,7 @@ var infos = []Info{
 		"state robustness against the RA timestamp machine"},
 	{ModeStateSRA, false, "staterobust.CheckSRA", "SC-set projection (Def 2.6)",
 		"state robustness against the SRA timestamp machine"},
-	{ModeStateTSO, false, "staterobust.CheckTSO (exhaustive product)", "SC-set projection (Def 2.6)",
+	{ModeStateTSO, false, "model.CheckState with NewTSO (exhaustive)", "SC-set projection (Def 2.6)",
 		"state robustness against x86-TSO, exhaustive store-buffer product"},
 }
 
@@ -106,7 +106,7 @@ func Check(mode string, program *lang.Program, lim staterobust.Limits) (*statero
 	case ModeStateSRA:
 		return staterobust.CheckSRA(program, lim)
 	case ModeStateTSO:
-		return staterobust.CheckTSO(program, lim)
+		return CheckState(program, NewTSO(program, lim.TSOBufCap), lim)
 	}
 	return nil, fmt.Errorf("model: %q is not a state mode (want one of tso, state-ra, state-sra, state-tso)", mode)
 }

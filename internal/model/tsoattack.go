@@ -28,10 +28,11 @@ import (
 // (PAPERS.md): a minimal robustness violation under a store-atomic model
 // needs only one thread deviating from SC at a time — the delayed writes
 // of any second thread can be committed eagerly without losing the
-// violating state. The exhaustive staterobust.CheckTSO remains in the
-// tree as the oracle: the Figure-7 corpus parity test and the diffcheck
-// fuzz leg cross-check the two checkers on every row and on generated
-// programs.
+// violating state. The exhaustive product, mode state-tso (CheckState
+// with NewTSO), is the cross-check: the Figure-7 corpus parity test and
+// the diffcheck fuzz leg compare the two checkers on every row and on
+// generated programs, and state-tso itself is pinned to an independent
+// sequential explorer kept as a test oracle (tsooracle_test.go).
 //
 // The state space is a subset of the exhaustive product's by
 // construction (every lazy state is a full-product state whose

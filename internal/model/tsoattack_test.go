@@ -15,9 +15,10 @@ import (
 
 // TestTSOAttackCorpusParity is the acceptance gate for the instrumented
 // checker: on every feasible corpus row, the attack-based CheckTSO must
-// agree with the exhaustive staterobust.CheckTSO verdict (pinned in
-// litmus.Entry.RobustTSO, which the exhaustive checker's own
-// TestTSOVerdicts asserts against the same rows).
+// agree with the exhaustive TSO verdict (pinned in litmus.Entry.RobustTSO,
+// which staterobust's TestTSOVerdicts asserts for mode state-tso on the
+// same rows, and TestTSOAdapterParity pins state-tso to the oracle of
+// tsooracle_test.go).
 func TestTSOAttackCorpusParity(t *testing.T) {
 	for _, e := range litmus.All() {
 		if e.Big {
@@ -74,7 +75,7 @@ func TestTSOAttackStateCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: instrumented: %v", name, err)
 		}
-		exh, err := staterobust.CheckTSO(p, lim)
+		exh, err := oracleCheckTSO(p, lim)
 		if err != nil {
 			t.Fatalf("%s: exhaustive: %v", name, err)
 		}
@@ -119,10 +120,11 @@ func TestDelayerCandidates(t *testing.T) {
 	}
 }
 
-// TestTSOWorkerIndependence pins the level-synchronous product: on every
-// corpus row, non-robust ones included, everything Run reports for mode
-// tso — verdict, counts, witness length, buffer-bound flag, or the state
-// bound itself — is the same at 1, 2 and 4 workers.
+// TestTSOWorkerIndependence pins the level-synchronous product of both
+// TSO modes, the lazy single-delayer machine (tso) and the full one
+// (state-tso, NewTSO): on every corpus row, non-robust ones included,
+// everything Run reports — verdict, counts, witness length, buffer-bound
+// flag, or the state bound itself — is the same at 1, 2 and 4 workers.
 func TestTSOWorkerIndependence(t *testing.T) {
 	for _, e := range litmus.All() {
 		if e.Big {
@@ -137,23 +139,35 @@ func TestTSOWorkerIndependence(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			p := e.Program()
-			var ref *RunResult
-			var refErr error
-			for _, w := range []int{1, 2, 4} {
-				rr, err := Run(ModeTSO, p, RunOpts{MaxStates: 2_000_000, Reduce: true, Workers: w})
-				if w == 1 {
-					ref, refErr = rr, err
-					continue
+			for _, mode := range []string{ModeTSO, ModeStateTSO} {
+				if mode == ModeStateTSO {
+					switch e.Name {
+					case "nbw-w-lr-rl":
+						continue // the full product passes any affordable bound
+					case "rcu-offline", "lamport2-ra":
+						if testing.Short() {
+							continue
+						}
+					}
 				}
-				if (err == nil) != (refErr == nil) || (err != nil && !errors.Is(err, staterobust.ErrBound)) {
-					t.Fatalf("workers=%d: err = %v, workers=1: %v", w, err, refErr)
-				}
-				if err != nil {
-					continue
-				}
-				if rr.Robust != ref.Robust || rr.States != ref.States || rr.SCStates != ref.SCStates ||
-					rr.WeakStates != ref.WeakStates || rr.TraceLen != ref.TraceLen || rr.BufBoundHit != ref.BufBoundHit {
-					t.Errorf("workers=%d: %+v, workers=1: %+v", w, *rr, *ref)
+				var ref *RunResult
+				var refErr error
+				for _, w := range []int{1, 2, 4} {
+					rr, err := Run(mode, p, RunOpts{MaxStates: 2_000_000, Reduce: true, Workers: w})
+					if w == 1 {
+						ref, refErr = rr, err
+						continue
+					}
+					if (err == nil) != (refErr == nil) || (err != nil && !errors.Is(err, staterobust.ErrBound)) {
+						t.Fatalf("%s workers=%d: err = %v, workers=1: %v", mode, w, err, refErr)
+					}
+					if err != nil {
+						continue
+					}
+					if rr.Robust != ref.Robust || rr.States != ref.States || rr.SCStates != ref.SCStates ||
+						rr.WeakStates != ref.WeakStates || rr.TraceLen != ref.TraceLen || rr.BufBoundHit != ref.BufBoundHit {
+						t.Errorf("%s workers=%d: %+v, workers=1: %+v", mode, w, *rr, *ref)
+					}
 				}
 			}
 		})

@@ -1,13 +1,20 @@
-package staterobust
+package model
 
 import (
 	"repro/internal/explore"
 	"repro/internal/lang"
 	"repro/internal/memtso"
 	"repro/internal/prog"
+	"repro/internal/staterobust"
 )
 
-// CheckTSO decides state robustness of the program against x86-TSO with
+// This file keeps the sequential exhaustive TSO explorer that answered
+// mode state-tso before it moved onto CheckState with NewTSO. It shares
+// no code with CheckState beyond the SC backbone (staterobust.ReachableSC)
+// and the memtso machine, which makes it the independent oracle of the
+// state-tso parity tests (TestTSOAdapterParity, TestTSOAttackStateCounts).
+
+// oracleCheckTSO decides state robustness of the program against x86-TSO with
 // store buffers bounded by lim.TSOBufCap. It explores the product of the
 // program with the TSO machine and reports the first program state not
 // reachable under SC, if any.
@@ -18,17 +25,17 @@ import (
 // an empty buffer, which is what makes the paper's FADD-encoded fences
 // full fences on TSO; a blocking wait reads like a load. A per-thread
 // internal flush action commits buffered writes in FIFO order.
-func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
+func oracleCheckTSO(program *lang.Program, lim staterobust.Limits) (*staterobust.Result, error) {
 	bufCap := lim.TSOBufCap
 	if bufCap <= 0 {
 		bufCap = 8
 	}
-	scSet, err := ReachableSC(program, lim)
+	scSet, err := staterobust.ReachableSC(program, lim)
 	if err != nil {
 		return nil, err
 	}
 	p := prog.New(program)
-	res := &Result{Robust: true, SCStates: scSet.Len()}
+	res := &staterobust.Result{Robust: true, SCStates: scSet.Len()}
 
 	type node struct {
 		ps prog.State
@@ -46,7 +53,7 @@ func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
 		buf = m.Encode(buf)
 		return buf
 	}
-	pj := NewProjector(p, lim)
+	pj := staterobust.NewProjector(p, lim)
 	weak := explore.NewSet()
 	var pbuf []byte
 	check := func(id int32, ps prog.State) bool {
@@ -74,13 +81,13 @@ func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
 			break
 		}
 		if store.Len() > lim.StateBound() {
-			return nil, ErrBound
+			return nil, explore.ErrBound
 		}
-		if popped&ctxPollMask == 0 && lim.ctxDone() {
+		if popped&255 == 0 && (lim.Ctx != nil && lim.Ctx.Err() != nil) {
 			return nil, lim.Err()
 		}
 		popped++
-		if lim.Progress != nil && popped%progressEvery == 0 {
+		if lim.Progress != nil && popped%4096 == 0 {
 			lim.Progress(store.Len())
 		}
 		n := item.St
@@ -173,7 +180,7 @@ func CheckTSO(program *lang.Program, lim Limits) (*Result, error) {
 			}
 		}
 	}
-	if lim.ctxDone() {
+	if lim.Ctx != nil && lim.Ctx.Err() != nil {
 		return nil, lim.Err()
 	}
 	res.Explored = store.Len()

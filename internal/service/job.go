@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/lang"
 	"repro/internal/model"
 	"repro/internal/prog"
@@ -263,7 +264,7 @@ func (j *job) run() {
 	switch {
 	case err == nil:
 		j.finish(StatusDone, res, "")
-	case errors.Is(err, core.ErrCanceled) || errors.Is(err, staterobust.ErrCanceled):
+	case errors.Is(err, explore.ErrCanceled):
 		j.finish(StatusCanceled, nil, fmt.Sprintf("canceled: %v", context.Cause(ctx)))
 	default:
 		j.finish(StatusFailed, nil, err.Error())

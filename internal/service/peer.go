@@ -23,10 +23,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/parser"
 	"repro/internal/prog"
-	"repro/internal/staterobust"
 	"repro/internal/verkey"
 )
 
@@ -474,7 +473,7 @@ func (s *Server) runStolen(victim cluster.Member, spec cluster.StolenJob) {
 			} else {
 				push.Error = merr.Error()
 			}
-		case errors.Is(verr, core.ErrCanceled) || errors.Is(verr, staterobust.ErrCanceled):
+		case errors.Is(verr, explore.ErrCanceled):
 			push = cluster.PushedResult{Status: StatusCanceled, Error: fmt.Sprintf("canceled: %v", context.DeadlineExceeded)}
 		default:
 			push.Error = verr.Error()

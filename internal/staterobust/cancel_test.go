@@ -25,8 +25,8 @@ func TestCheckPreCanceled(t *testing.T) {
 	if r, err := staterobust.CheckRA(p, lim); !errors.Is(err, staterobust.ErrCanceled) || r != nil {
 		t.Errorf("CheckRA = (%v, %v), want ErrCanceled", r, err)
 	}
-	if r, err := staterobust.CheckTSO(p, lim); !errors.Is(err, staterobust.ErrCanceled) || r != nil {
-		t.Errorf("CheckTSO = (%v, %v), want ErrCanceled", r, err)
+	if r, err := model.Check(model.ModeStateTSO, p, lim); !errors.Is(err, staterobust.ErrCanceled) || r != nil {
+		t.Errorf("state-tso = (%v, %v), want ErrCanceled", r, err)
 	}
 	if r, err := staterobust.CheckSRA(p, lim); !errors.Is(err, staterobust.ErrCanceled) || r != nil {
 		t.Errorf("CheckSRA = (%v, %v), want ErrCanceled", r, err)
@@ -53,7 +53,7 @@ func TestCheckCancelMidExploration(t *testing.T) {
 	}
 	checks := []check{
 		{"RA", func(lim staterobust.Limits) error { _, err := staterobust.CheckRA(p, lim); return err }},
-		{"TSO", func(lim staterobust.Limits) error { _, err := staterobust.CheckTSO(p, lim); return err }},
+		{"state-tso", func(lim staterobust.Limits) error { _, err := model.Check(model.ModeStateTSO, p, lim); return err }},
 		{"model.CheckTSO", func(lim staterobust.Limits) error { _, err := model.CheckTSO(p, lim); return err }},
 	}
 	for _, c := range checks {

@@ -54,7 +54,7 @@ func CheckSRA(program *lang.Program, lim Limits) (*Result, error) {
 }
 
 // raScratch is the per-worker expansion state of checkWeakRA: the encode
-// buffer, candidate/slot buffers for the memra Append* enumerators, and
+// buffer, the transition buffer for memra.Machine.AppendSteps, and
 // free lists of product states. Successor states are drawn from the pools
 // (CopyFrom into recycled storage) instead of cloned, and return to the
 // expanding worker's pool when the store reports a duplicate or when their
@@ -63,8 +63,7 @@ func CheckSRA(program *lang.Program, lim Limits) (*Result, error) {
 // providing the happens-before edge.
 type raScratch struct {
 	buf    []byte
-	cands  []memra.Msg
-	slots  []memra.Time
+	trans  []memra.Trans
 	psPool []prog.State
 	mPool  []*memra.State
 	pj     *Projector
@@ -120,8 +119,7 @@ func exploreRA(program *lang.Program, lim Limits, sra bool, scSet *explore.Set) 
 	if scSet != nil {
 		res.SCStates = scSet.Len()
 	}
-	headroom := RAHeadroom(program, lim)
-	gapCap := headroom + 1
+	mc := memra.Machine{SRA: sra, Headroom: RAHeadroom(program, lim), ValCount: program.ValCount}
 
 	type node struct {
 		ps prog.State
@@ -182,16 +180,17 @@ func exploreRA(program *lang.Program, lim Limits, sra bool, scSet *explore.Set) 
 		}
 		ws := scratches[w]
 		n := it.St
-		// emit interns one successor reached by a program step with the
-		// given label and RA memory effect (already performed on nextM, a
-		// pooled state owned by this call); it reports whether the
-		// successor witnesses non-robustness. Duplicates return nextM (and
-		// the pooled program state) to the worker's free lists.
-		emit := func(t int, label lang.Label, nextM *memra.State) bool {
+		// emit interns the successor reached by thread t taking RA
+		// transition tr, applied into pooled states; it reports whether
+		// the successor witnesses non-robustness. Duplicates return their
+		// states to the worker's free lists.
+		emit := func(t int, tr memra.Trans) bool {
+			nextM := ws.takeM(n.m)
+			nextM.Apply(lang.Tid(t), tr)
+			mc.Canon(nextM)
 			nextPS := ws.takePS(n.ps)
-			p.Threads[t].ApplyRawInto(n.ps.Threads[t], label, &nextPS.Threads[t])
-			nextM.Canonicalize(gapCap)
-			id, isNew := store.Add(key(ws, nextPS, nextM), it.ID, explore.Step{Tid: lang.Tid(t), Lab: label})
+			p.Threads[t].ApplyRawInto(n.ps.Threads[t], tr.Lab, &nextPS.Threads[t])
+			id, isNew := store.Add(key(ws, nextPS, nextM), it.ID, explore.Step{Tid: lang.Tid(t), Lab: tr.Lab})
 			if !isNew {
 				ws.psPool = append(ws.psPool, nextPS)
 				ws.mPool = append(ws.mPool, nextM)
@@ -228,73 +227,10 @@ func exploreRA(program *lang.Program, lim Limits, sra bool, scSet *explore.Set) 
 				push(explore.Item[node]{ID: id, St: node{nextPS, ws.takeM(n.m)}})
 				continue
 			}
-			op := th.Op(ts)
-			switch op.Kind {
-			case prog.OpWrite:
-				if sra {
-					ws.slots = append(ws.slots[:0], n.m.WriteSlotSRA(op.Loc))
-				} else {
-					ws.slots = n.m.AppendWriteSlots(ws.slots[:0], tid, op.Loc, headroom)
-				}
-				for _, slot := range ws.slots {
-					nextM := ws.takeM(n.m)
-					nextM.Write(tid, op.Loc, op.WVal, slot)
-					if emit(t, lang.WriteLab(op.Loc, op.WVal), nextM) {
-						return false
-					}
-				}
-			case prog.OpRead, prog.OpWait:
-				ws.cands = n.m.AppendReadCandidates(ws.cands[:0], tid, op.Loc)
-				for _, msg := range ws.cands {
-					if op.Kind == prog.OpWait && msg.Val != op.WVal {
-						continue
-					}
-					nextM := ws.takeM(n.m)
-					nextM.Read(tid, msg)
-					if emit(t, lang.ReadLab(op.Loc, msg.Val), nextM) {
-						return false
-					}
-				}
-			case prog.OpFADD, prog.OpXCHG, prog.OpCAS, prog.OpBCAS:
-				if sra {
-					ws.cands = n.m.AppendRMWCandidatesSRA(ws.cands[:0], tid, op.Loc)
-				} else {
-					ws.cands = n.m.AppendRMWCandidates(ws.cands[:0], tid, op.Loc)
-				}
-				for _, msg := range ws.cands {
-					var vW lang.Val
-					switch op.Kind {
-					case prog.OpFADD:
-						vW = lang.Val((int(msg.Val) + int(op.Add)) % program.ValCount)
-					case prog.OpXCHG:
-						vW = op.New
-					case prog.OpCAS, prog.OpBCAS:
-						if msg.Val != op.Exp {
-							continue // handled as plain read below for CAS
-						}
-						vW = op.New
-					}
-					nextM := ws.takeM(n.m)
-					nextM.RMW(tid, msg, vW)
-					if emit(t, lang.RMWLab(op.Loc, msg.Val, vW), nextM) {
-						return false
-					}
-				}
-				if op.Kind == prog.OpCAS {
-					// Failed CAS: a plain read of any value ≠ Exp
-					// (Figure 2). Unlike the RMW case, any readable
-					// message qualifies.
-					ws.cands = n.m.AppendReadCandidates(ws.cands[:0], tid, op.Loc)
-					for _, msg := range ws.cands {
-						if msg.Val == op.Exp {
-							continue
-						}
-						nextM := ws.takeM(n.m)
-						nextM.Read(tid, msg)
-						if emit(t, lang.ReadLab(op.Loc, msg.Val), nextM) {
-							return false
-						}
-					}
+			ws.trans = mc.AppendSteps(ws.trans[:0], n.m, tid, th.Op(ts))
+			for _, tr := range ws.trans {
+				if emit(t, tr) {
+					return false
 				}
 			}
 		}
@@ -311,7 +247,7 @@ func exploreRA(program *lang.Program, lim Limits, sra bool, scSet *explore.Set) 
 	res.Explored = store.Len()
 	res.WeakStates = weak.Len()
 	if bound {
-		return nil, nil, ErrBound
+		return nil, nil, explore.ErrBound
 	}
 	if witnessID >= 0 {
 		res.Robust = false

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/litmus"
+	"repro/internal/model"
 	"repro/internal/staterobust"
 )
 
@@ -77,7 +78,7 @@ func TestSCSubsetOfWeak(t *testing.T) {
 		if res.WeakStates < res.SCStates {
 			t.Errorf("%s: RA reached %d states < SC's %d", name, res.WeakStates, res.SCStates)
 		}
-		rt, err := staterobust.CheckTSO(p, staterobust.Limits{MaxStates: 2_000_000})
+		rt, err := model.Check(model.ModeStateTSO, p, staterobust.Limits{MaxStates: 2_000_000})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

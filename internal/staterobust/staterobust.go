@@ -1,31 +1,23 @@
 // Package staterobust implements state robustness (Definition 2.6) checks
 // by direct exploration of operational memory subsystems: it enumerates the
-// program states reachable under SC, under TSO (bounded store buffers), and
-// under RA (the §3 timestamp machine with canonicalized timestamps), and
-// compares the resulting sets.
+// program states reachable under SC (ReachableSC) and under RA and SRA
+// (the §3 timestamp machine with canonicalized timestamps, driven through
+// memra.Machine), and compares the resulting sets. It also holds the
+// vocabulary every state checker shares: Limits, Result and Projector.
+// The TSO checks — mode state-tso, this repository's stand-in for the
+// Trencher column of the paper's Figure 7 (see DESIGN.md), and the
+// instrumented mode tso — run on internal/model's CheckState.
 //
-// Two roles:
-//
-//   - The TSO comparison is this repository's stand-in for the Trencher
-//     column of the paper's Figure 7 (see DESIGN.md): a precise
-//     state-robustness verdict against x86-TSO. Unlike Trencher's
-//     trace-based notion, spinning longer on a stale value does not change
-//     the set of reachable program states, so the four ✗⋆ rows of Figure 7
-//     (spurious violations caused by Trencher's lack of blocking
-//     instructions) come out robust here, which the paper argues is the
-//     right answer.
-//
-//   - The RA comparison cross-validates the paper's main theorems on small
-//     programs: by Proposition 4.10, execution-graph robustness implies
-//     state robustness, so core.Verify saying "robust" must imply the RA
-//     machine reaches no extra program states; and for the litmus tests the
-//     paper discusses, the specific stale-value outcomes must be reachable
-//     under RA and not under SC.
+// The RA comparison cross-validates the paper's main theorems on small
+// programs: by Proposition 4.10, execution-graph robustness implies state
+// robustness, so core.Verify saying "robust" must imply the RA machine
+// reaches no extra program states; and for the litmus tests the paper
+// discusses, the specific stale-value outcomes must be reachable under RA
+// and not under SC.
 package staterobust
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -47,16 +39,18 @@ type Limits struct {
 	// not grow the write count beyond it (see memra's package comment).
 	RAHeadroom int
 	// Workers sets the number of parallel exploration workers of every
-	// state checker — the SC backbone of this package's checkers
-	// (ReachableSC), CheckRA/CheckSRA's weak products, and the
-	// instrumented TSO checker (model.CheckTSO, which explores its SC
-	// backbone inside its product): 0 uses GOMAXPROCS, 1 explores
+	// state checker — ReachableSC, CheckRA/CheckSRA's weak products, and
+	// model.CheckState, which answers both TSO modes and explores their
+	// SC backbone inside its product: 0 uses GOMAXPROCS, 1 explores
 	// sequentially. Verdicts and full-run state counts are
-	// worker-count-independent, and so is everything the level-synchronous
-	// checkers (ReachableSC, model.CheckTSO) report on non-robust programs;
-	// CheckRA/CheckSRA stop at the first violation any worker finds, so
-	// their witness and non-robust counts may vary. The exhaustive CheckTSO
-	// explores its product sequentially.
+	// worker-count-independent, and so is everything the level-complete
+	// checkers (ReachableSC, model.CheckState) report on non-robust
+	// programs. CheckRA/CheckSRA stop at the first violation any worker
+	// finds, so their witness and non-robust counts may vary, and so may
+	// whether a run that nears MaxStates finds a violation first or
+	// reports ErrBound: at MaxStates 2M, state-ra answers bound on
+	// cilk-the-wsq-sc and chase-lev-tso at 1 worker and non-robust at 2,
+	// and lamport2-sc either way at 2.
 	Workers int
 	// Ctx, when non-nil, cancels the exploration cooperatively (polled
 	// every few hundred expansions at most): a cancelled run returns
@@ -73,11 +67,11 @@ type Limits struct {
 	// permutations — but SCStates and WeakStates then count canonical
 	// representatives, not raw program states. The compound states of
 	// ReachableSC and of model.CheckState's product with a symmetric
-	// machine (SC, TSO and the lazy single-delayer TSO, whose product
-	// holds its own SC backbone) are folded too, which changes nothing but
-	// Explored and the run time.
-	// The weak products of CheckRA, CheckSRA and the exhaustive CheckTSO
-	// stay unfolded.
+	// machine (SC, the full TSO machine of state-tso and the lazy
+	// single-delayer TSO of tso, whose products hold their own SC
+	// backbone) are folded too, which changes nothing but Explored and
+	// the run time. The weak products of CheckRA and CheckSRA stay
+	// unfolded.
 	Reduce bool
 }
 
@@ -107,19 +101,14 @@ func (l Limits) WorkerCount() int {
 	return l.Workers
 }
 
-// ctxDone reports whether the limits' context has been cancelled.
-func (l Limits) ctxDone() bool {
-	return l.Ctx != nil && l.Ctx.Err() != nil
-}
-
 // Err returns ErrCanceled, wrapping the context's cause, once Ctx has
 // been cancelled, and nil before. Checkers call it after every
 // exploration, so a cancelled run never returns a verdict.
 func (l Limits) Err() error {
-	if !l.ctxDone() {
+	if l.Ctx == nil || l.Ctx.Err() == nil {
 		return nil
 	}
-	return fmt.Errorf("%w: %w", ErrCanceled, context.Cause(l.Ctx))
+	return fmt.Errorf("%w: %w", explore.ErrCanceled, context.Cause(l.Ctx))
 }
 
 // RunOpts returns the parallel engines' options for these limits: the
@@ -133,16 +122,14 @@ func (l Limits) RunOpts(explored func() int) explore.RunOpts {
 	return ro
 }
 
-// ErrBound is returned when an exploration exceeds its state bound.
-var ErrBound = fmt.Errorf("staterobust: state bound exceeded")
+// ErrBound is explore.ErrBound, returned when an exploration exceeds its
+// state bound.
+var ErrBound = explore.ErrBound
 
-// ErrCanceled is returned (wrapped, with the context's cause) when
-// Limits.Ctx is cancelled before the exploration completes.
-var ErrCanceled = errors.New("staterobust: exploration canceled")
-
-// ctxPollMask gates the sequential explorer's context polls (checked every
-// ctxPollMask+1 expansions).
-const ctxPollMask = 255
+// ErrCanceled is explore.ErrCanceled, returned (wrapped, with the
+// context's cause) when Limits.Ctx is cancelled before the exploration
+// completes.
+var ErrCanceled = explore.ErrCanceled
 
 // progressEvery is the explored-state granularity of Limits.Progress.
 const progressEvery = 4096
@@ -294,7 +281,7 @@ func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 		return nil, err
 	}
 	if seen.Len() > lim.StateBound() {
-		return nil, ErrBound
+		return nil, explore.ErrBound
 	}
 	return reach, nil
 }

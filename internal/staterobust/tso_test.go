@@ -4,14 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/litmus"
+	"repro/internal/model"
 	"repro/internal/staterobust"
 )
 
-// TestTSOVerdicts checks the TSO state-robustness baseline (the
-// repository's stand-in for the Trencher column of Figure 7) against the
-// expected verdicts: the paper's Trencher results, with the four ✗⋆ rows
-// (spurious, caused by Trencher's lack of blocking instructions) replaced
-// by the semantic verdict — robust — as the paper argues they should be.
+// TestTSOVerdicts checks mode state-tso, the TSO state-robustness
+// baseline (the repository's stand-in for the Trencher column of Figure
+// 7), against the expected verdicts: the paper's Trencher results, with
+// the four ✗⋆ rows (spurious, caused by Trencher's lack of blocking
+// instructions) replaced by the semantic verdict — robust — as the paper
+// argues they should be.
 func TestTSOVerdicts(t *testing.T) {
 	for _, e := range litmus.All() {
 		e := e
@@ -27,9 +29,9 @@ func TestTSOVerdicts(t *testing.T) {
 			}
 			t.Parallel()
 			p := e.Program()
-			res, err := staterobust.CheckTSO(p, staterobust.Limits{MaxStates: 30_000_000, TSOBufCap: 4})
+			res, err := model.Check(model.ModeStateTSO, p, staterobust.Limits{MaxStates: 30_000_000, TSOBufCap: 4})
 			if err != nil {
-				t.Fatalf("CheckTSO: %v", err)
+				t.Fatalf("state-tso: %v", err)
 			}
 			if res.Robust != e.RobustTSO {
 				t.Errorf("got TSO-robust=%v, want %v (SC states %d, weak states %d)",
