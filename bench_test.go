@@ -125,8 +125,8 @@ func BenchmarkTSO(b *testing.B) {
 
 // BenchmarkParallel sweeps the worker count over medium Figure 7 rows and
 // one large generated row — the scaling curve of the parallel exploration
-// engine. workers=1 is the sequential reference path (no engine, no
-// sharded store); the speedup at 4 workers is the tentpole number, and is
+// engine. workers=1 is the same engine with one worker; the speedup at
+// 4 workers is the tentpole number, and is
 // only meaningful on a machine with ≥4 cores (on a single-core box every
 // worker count degenerates to a slightly slower sequential run).
 // ticketlock-n5 is the headline row: the Figure 7 ticketlock family at 5

@@ -12,13 +12,14 @@
 // comes with a counterexample trace: an SC run to a state from which an RA
 // execution graph can diverge from all SC ones.
 //
-// Exploration is parallel by default (Options.Workers): robustness
-// checking is embarrassingly parallel at the state level, since the
-// Theorem 5.3 conditions are evaluated per state against the read-only
-// monitor. Workers share a sharded visited set and hand the frontier off
-// in batches (see internal/explore); Workers = 1 runs the sequential
-// reference implementation, against which the parallel engine's verdicts
-// and full-run state counts are pinned by tests.
+// One engine answers every query: a level-synchronous breadth-first search
+// on explore.RunLevels (see search), which Options.Workers spreads over
+// that many goroutines — Workers = 1 is the same engine with one worker.
+// Robustness checking is embarrassingly parallel at the state level, since
+// the Theorem 5.3 conditions are evaluated per state against the
+// read-only monitor. A violation ends the search once its level is
+// complete, so the verdict, the state count and the (shortest)
+// counterexample trace do not depend on the worker count.
 package core
 
 import (
@@ -59,26 +60,25 @@ type Options struct {
 	// it off tracks every value exactly (the ablation of §5.1).
 	AbstractVals bool
 	// MaxStates bounds the explored state count; 0 means unbounded.
-	// Exceeding the bound yields an error, never a wrong verdict.
+	// Exceeding the bound yields ErrStateBound, never a wrong verdict: a
+	// search errs exactly when one of its levels ends above the bound.
 	MaxStates int
-	// KeepAllViolations collects every violating state instead of
-	// stopping at the first (useful for fence inference).
-	KeepAllViolations bool
 	// HashCompact stores 128-bit hashes of states instead of full state
-	// encodings in the visited set (Spin's hashcompact mode). It cuts
-	// memory roughly 4× on large runs; a hash collision could in
-	// principle prune a state (probability < n²·2⁻¹²⁸ for n states —
-	// negligible, but the exact mode is the default and is used by all
-	// correctness tests).
+	// encodings in the visited set (Spin's hashcompact mode); the keys of
+	// the states the search has yet to expand, at most two levels of them,
+	// are kept besides. It cuts memory on large runs; a hash collision
+	// could in principle prune a state (probability < n²·2⁻¹²⁸ for n
+	// states — negligible, but the exact mode is the default and is used
+	// by all correctness tests). Sleep sets are off under it.
 	HashCompact bool
-	// Workers sets the number of parallel exploration workers: 0 uses
-	// GOMAXPROCS, 1 forces the sequential reference implementation.
-	// Verdicts are worker-count-independent; on full (robust) runs so is
-	// the state count. Only counterexample traces may differ.
+	// Workers sets the number of exploration workers: 0 uses GOMAXPROCS.
+	// Every count runs the same engine; the verdict, States, the reported
+	// violation, the trace and the reduction counters are the same at
+	// every count.
 	Workers int
 	// Ctx, when non-nil, bounds the verification by a deadline or an
 	// explicit cancellation: the exploration polls it cooperatively (every
-	// few hundred expansions at most) and a cancelled run returns
+	// few dozen expansions per worker) and a cancelled run returns
 	// ErrCanceled — never a partial or wrong verdict. Robustness checking
 	// is PSPACE-hard in general, so long-running callers (the rockerd
 	// service, CLI -timeout flags) must be able to bail out cleanly.
@@ -103,8 +103,8 @@ type Options struct {
 	// to permutation, with counterexample traces concretized back through
 	// the recorded permutations). Verdicts are bit-identical with and
 	// without it; the distinct-state count shrinks — often by multiples —
-	// and stays worker-count-independent on robust runs. The zero value is
-	// off; the rocker CLI enables it by default (-noreduce opts out).
+	// and stays worker-count-independent. The zero value is off; the
+	// rocker CLI enables it by default (-noreduce opts out).
 	Reduce bool
 	// StaticPrune runs the internal/analysis pre-pass before exploring:
 	// locations outside every cross-thread conflict cycle are dropped
@@ -117,12 +117,12 @@ type Options struct {
 }
 
 // Progress is a live snapshot of a running exploration, delivered to
-// Options.Progress. The frontier depth is States - Expanded: every
-// interned state is eventually expanded exactly once.
+// Options.Progress. Every interned state is expanded once, and with sleep
+// sets some again (see search).
 type Progress struct {
 	// States is the number of distinct states interned so far.
 	States int
-	// Expanded is the number of states fully expanded so far.
+	// Expanded is the number of expansions so far.
 	Expanded int64
 }
 
@@ -136,13 +136,8 @@ func canceled(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", explore.ErrCanceled, context.Cause(ctx))
 }
 
-// ctxPollMask gates the sequential loops' context polls: the context is
-// checked every ctxPollMask+1 expansions, which bounds the number of
-// expansions a cancelled sequential run performs before stopping.
-const ctxPollMask = 255
-
 // DefaultOptions returns the standard configuration (abstract values on,
-// no state bound, exact visited set, parallel exploration).
+// no state bound, exact visited set, a worker per CPU).
 func DefaultOptions() Options { return Options{AbstractVals: true} }
 
 // workerCount resolves Options.Workers to an actual worker count.
@@ -159,16 +154,18 @@ type Verdict struct {
 	// race-freedom on non-atomic locations, and that no assertion fails
 	// under SC).
 	Robust bool
-	// Violations holds the detected robustness violations (at most one
-	// unless Options.KeepAllViolations).
+	// Violations holds the detected robustness violation: at most one,
+	// the least of the level the search stopped on (see search).
 	Violations []*scm.Violation
 	// AssertFail reports a failed user assertion, if any.
 	AssertFail *prog.AssertFailure
-	// Trace is an SC run (sequence of thread-labelled memory actions)
-	// leading to a violating state (the first found; a shortest one under
-	// Workers = 1).
+	// Trace is a shortest SC run (sequence of thread-labelled memory
+	// actions) to the violating state, or through the failing assertion's
+	// step; the same at every worker count.
 	Trace []explore.Step
-	// States is the number of distinct ⟨program, SCM⟩ states explored.
+	// States is the number of distinct ⟨program, SCM⟩ states explored. A
+	// non-robust run counts the states through the successors of the
+	// level it stopped on.
 	States int
 	// Elapsed is the wall-clock verification time.
 	Elapsed time.Duration
@@ -190,9 +187,8 @@ type Verdict struct {
 	// representative; SleepSkips counts edges elided by sleep sets;
 	// SymmetryFolds counts successor states canonicalized under a
 	// non-identity thread permutation. All three are 0 with Reduce off.
-	// AmpleHits is (like States) worker-count-independent on full runs;
-	// SleepSkips and SymmetryFolds depend on exploration order and may
-	// vary across parallel runs.
+	// They count first expansions only, and like States they are the same
+	// at every worker count, on robust and non-robust runs alike.
 	AmpleHits, SleepSkips, SymmetryFolds int64
 	// Analysis holds the full pre-pass result when StaticPrune is on,
 	// for -explain style reporting.
@@ -202,15 +198,15 @@ type Verdict struct {
 // ErrStateBound is explore.ErrBound, returned when MaxStates is exceeded.
 var ErrStateBound = explore.ErrBound
 
-// verifier bundles the immutable per-run machinery shared by the
-// sequential and parallel paths: the compiled program, the monitor (both
-// read-only during exploration, so workers share them), and the
-// racy-state flag.
+// verifier bundles the immutable per-run machinery, shared read-only by
+// the search's workers and by Stepper: the compiled program, the monitor
+// (nil for the plain-SC machine of VerifySC), and the racy-state flag.
 type verifier struct {
-	p     *prog.P
-	mon   *scm.Monitor
-	hasNA bool
-	an    *analysis.Result // pre-pass result, nil unless Options.StaticPrune
+	program *lang.Program
+	p       *prog.P
+	mon     *scm.Monitor
+	hasNA   bool
+	an      *analysis.Result // pre-pass result, nil unless Options.StaticPrune
 }
 
 func newVerifier(program *lang.Program, opts Options) (*verifier, error) {
@@ -254,7 +250,26 @@ func newVerifier(program *lang.Program, opts Options) (*verifier, error) {
 	if an != nil {
 		mon.Tracked = an.Tracked
 	}
-	return &verifier{p: p, mon: mon, hasNA: hasNA, an: an}, nil
+	return &verifier{program: program, p: p, mon: mon, hasNA: hasNA, an: an}, nil
+}
+
+// violation evaluates the per-state checks at the monitor state ms with
+// the pending operations ops — the Theorem 5.3 conditions on every
+// thread's operation, then the Definition 6.1 racy-state condition (§6) —
+// and returns the first violation with its rank: the thread id, or the
+// thread count for a race.
+func (v *verifier) violation(ms *scm.State, ops []prog.MemOp) (*scm.Violation, int) {
+	for t := range ops {
+		if viol := v.mon.CheckOp(ms, lang.Tid(t), ops[t]); viol != nil {
+			return viol, t
+		}
+	}
+	if v.hasNA {
+		if viol := v.mon.CheckRace(ops); viol != nil {
+			return viol, len(ops)
+		}
+	}
+	return nil, 0
 }
 
 // annotate copies the pre-pass summary fields into a verdict.
@@ -265,71 +280,6 @@ func (v *verifier) annotate(verdict *Verdict) {
 	verdict.Analysis = v.an
 	verdict.PrunedLocs = bits.OnesCount64(v.an.Pruned)
 	verdict.CritSharpened = v.an.CritSharpened
-}
-
-// scratch is the per-worker decode/expansion state: a reusable current
-// program state and a successor state for the clone-free ApplyInto kernel
-// (register slices included), the pending-operation buffer, current and
-// successor monitor states, the encode buffer, a buffer for
-// re-materializing exact-mode frontier keys from the arena, and the
-// free list of recycled hash-compact frontier payloads. The sequential
-// path uses a single instance; with it, steady-state expansion performs no
-// heap allocation.
-type scratch struct {
-	cur    prog.State
-	nxt    prog.State
-	ops    []prog.MemOp
-	curMS  scm.State
-	nextMS *scm.State
-	keyBuf []byte
-	popBuf []byte
-	free   [][]byte
-	// Partial-order reduction scratch (Options.Reduce): the
-	// canonicalization permutation buffer and per-worker reduction
-	// counters, summed into the verdict after the run.
-	perm                 []uint8
-	cAmple, cSleep, cSym int64
-}
-
-func (v *verifier) newScratch(program *lang.Program) *scratch {
-	s := &scratch{nextMS: v.mon.Init(), ops: make([]prog.MemOp, len(v.p.Threads))}
-	s.cur = prog.State{Threads: make([]prog.ThreadState, len(v.p.Threads))}
-	s.nxt = prog.State{Threads: make([]prog.ThreadState, len(v.p.Threads))}
-	for i := range v.p.Threads {
-		s.cur.Threads[i].Regs = make([]lang.Val, program.Threads[i].NumRegs)
-		s.nxt.Threads[i].Regs = make([]lang.Val, program.Threads[i].NumRegs)
-	}
-	return s
-}
-
-// pushPayload returns the frontier payload for a newly interned state: nil
-// in exact mode (the queue carries only the id; bytes are re-materialized
-// from the store's arena on expansion) and a recycled copy of key in
-// hash-compact mode, where the store keeps no key bytes.
-func (s *scratch) pushPayload(hashCompact bool, key []byte) []byte {
-	if !hashCompact {
-		return nil
-	}
-	var buf []byte
-	if n := len(s.free); n > 0 {
-		buf = s.free[n-1][:0]
-		s.free = s.free[:n-1]
-	}
-	return append(buf, key...)
-}
-
-// recycle takes back an expanded hash-compact frontier payload.
-func (s *scratch) recycle(buf []byte) {
-	if buf != nil {
-		s.free = append(s.free, buf)
-	}
-}
-
-func (s *scratch) encode(v *verifier, ps prog.State, ms *scm.State) []byte {
-	s.keyBuf = s.keyBuf[:0]
-	s.keyBuf = v.p.EncodeState(s.keyBuf, ps)
-	s.keyBuf = v.mon.Encode(s.keyBuf, ms)
-	return s.keyBuf
 }
 
 // Verify decides execution-graph robustness of the program against RA.
@@ -355,9 +305,6 @@ func Verify(program *lang.Program, opts Options) (*Verdict, error) {
 			}, nil
 		}
 	}
-	if opts.workerCount() > 1 {
-		return verifyParallel(program, opts)
-	}
 	start := time.Now()
 	v, err := newVerifier(program, opts)
 	if err != nil {
@@ -365,234 +312,32 @@ func Verify(program *lang.Program, opts Options) (*Verdict, error) {
 	}
 	verdict := &Verdict{Robust: true, MetadataBits: v.mon.Bits()}
 	v.annotate(verdict)
-	var ws *scratch
-	finish := func() (*Verdict, error) {
-		// A canceled run never reports a verdict, even if exploration
-		// happened to finish before the poll noticed: the caller asked for
-		// cancellation, and a deterministic ErrCanceled is what the
-		// service layer's "canceled, not a verdict" contract needs.
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			return nil, canceled(opts.Ctx)
-		}
-		if ws != nil {
-			verdict.AmpleHits, verdict.SleepSkips, verdict.SymmetryFolds = ws.cAmple, ws.cSleep, ws.cSym
-		}
-		verdict.Elapsed = time.Since(start)
-		return verdict, nil
-	}
 	ps0, fail := v.p.InitState()
 	if fail != nil {
 		verdict.Robust = false
 		verdict.AssertFail = fail
-		return finish()
-	}
-	ms0 := v.mon.Init()
-	var red *reducer
-	if opts.Reduce {
-		red = newReducer(program, v.p, v.mon)
-	}
-	// Sleep sets need the exact store (re-expansion re-materializes keys,
-	// which hash-compacted stores cannot) and per-state uint64 masks.
-	useSleep := red != nil && !opts.HashCompact && red.nT <= maxSleepThreads
-
-	var store *explore.Store
-	if opts.HashCompact {
-		store = explore.NewHashCompactStore()
 	} else {
-		store = explore.NewStore()
-	}
-	// The frontier is zero-copy. In exact mode it is implicit: sequential
-	// BFS interns states in exactly the order it pops them, so the dense id
-	// sequence 0, 1, 2, ... IS the FIFO frontier — no queue exists at all,
-	// the visited store doubles as the frontier, and the packed encoding
-	// (program state followed by SCM state) is re-materialized from the
-	// store's arena on expansion. In hash-compact mode, where the store
-	// keeps no key bytes, a real queue carries payload copies whose buffers
-	// are recycled through a free list.
-	var queue explore.Queue[[]byte]
-	ws = v.newScratch(program)
-	if red != nil {
-		ws.perm = make([]uint8, red.nT)
-	}
-	rootKey := ws.encode(v, ps0, ms0)
-	root, _ := store.AddBytes(rootKey, -1, explore.Step{})
-	if opts.HashCompact {
-		queue.Push(root, ws.pushPayload(true, rootKey))
-	}
-
-	report := func(id int32, viol *scm.Violation) bool {
-		verdict.Robust = false
-		if verdict.Trace == nil {
-			verdict.Trace = store.Trace(id)
-			if red != nil && red.symm() {
-				// The trace and the violation are recorded on the symmetry
-				// quotient; concretize them back into the original
-				// program's thread names. Later violations (with
-				// KeepAllViolations) stay canonical: each names a thread of
-				// the same class, which is truthful by symmetry.
-				viol = concretizeViolation(viol, explore.Concretize(verdict.Trace, red.nT))
-			}
+		s, err := v.explore(ps0, opts)
+		if err != nil {
+			return nil, err
 		}
-		verdict.Violations = append(verdict.Violations, viol)
-		return !opts.KeepAllViolations
-	}
-
-	every := int64(opts.ProgressEvery)
-	if every <= 0 {
-		every = 4096
-	}
-	expanded := int64(0)
-	next := int32(0)
-	// requeue holds already-expanded states whose sleep mask strictly
-	// shrank on a revisit: they must be re-expanded so edges the larger
-	// mask elided get explored (checks and counters are not repeated).
-	var requeue []int32
-	for {
-		var item explore.QItem[[]byte]
-		requeued := false
-		if opts.HashCompact {
-			var ok bool
-			if item, ok = queue.Pop(); !ok {
-				break
+		verdict.States = s.store.Len()
+		verdict.AmpleHits, verdict.SleepSkips, verdict.SymmetryFolds = s.counters()
+		if s.found != nil {
+			trace, viol, fail := s.witness()
+			verdict.Robust = false
+			verdict.Trace = trace
+			verdict.AssertFail = fail
+			if viol != nil {
+				verdict.Violations = []*scm.Violation{viol}
 			}
-		} else if int(next) < store.Len() {
-			item = explore.QItem[[]byte]{ID: next, St: store.KeyBytes(next)}
-			next++
-		} else if n := len(requeue); n > 0 {
-			id := requeue[n-1]
-			requeue = requeue[:n-1]
-			item = explore.QItem[[]byte]{ID: id, St: store.KeyBytes(id)}
-			requeued = true
-		} else {
-			break
-		}
-		if opts.MaxStates > 0 && store.Len() > opts.MaxStates {
-			return nil, fmt.Errorf("%w (%d states)", explore.ErrBound, store.Len())
-		}
-		if opts.Ctx != nil && expanded&ctxPollMask == 0 && opts.Ctx.Err() != nil {
-			return nil, canceled(opts.Ctx)
-		}
-		expanded++
-		if opts.Progress != nil && expanded%every == 0 {
-			opts.Progress(Progress{States: store.Len(), Expanded: expanded})
-		}
-		itemKey := item.St
-		n := v.p.DecodeState(itemKey, ws.cur)
-		v.mon.Decode(itemKey[n:], &ws.curMS)
-		ops := ws.ops
-		v.p.OpsInto(ops, ws.cur)
-
-		if !requeued {
-			// Theorem 5.3 conditions for every thread's pending operation.
-			for t := range ops {
-				if viol := v.mon.CheckOp(&ws.curMS, lang.Tid(t), ops[t]); viol != nil {
-					if report(item.ID, viol) {
-						verdict.States = store.Len()
-						return finish()
-					}
-				}
-			}
-			// Definition 6.1 racy-state condition (§6).
-			if v.hasNA {
-				if viol := v.mon.CheckRace(ops); viol != nil {
-					if report(item.ID, viol) {
-						verdict.States = store.Len()
-						return finish()
-					}
-				}
-			}
-		}
-
-		// Successors: every SC-enabled thread action — or, with Reduce, a
-		// single ample representative when one qualifies, minus any edges
-		// the state's sleep set proves redundant (ample states ignore the
-		// sleep set: the one representative is always expanded).
-		ampleT := -1
-		if red != nil {
-			ampleT = red.ample(ws.curMS.M, ws.cur, ws.nxt, ops)
-			if ampleT >= 0 && !requeued {
-				ws.cAmple++
-			}
-		}
-		var sleepZ, expandedSoFar uint64
-		if useSleep {
-			sleepZ = store.Sleep(item.ID)
-		}
-		for t := range ops {
-			op := ops[t]
-			if op.Kind == prog.OpNone {
-				continue
-			}
-			if ampleT >= 0 {
-				if t != ampleT {
-					continue
-				}
-			} else if useSleep && sleepZ>>t&1 != 0 {
-				if !requeued {
-					ws.cSleep++
-				}
-				continue
-			}
-			label, enabled := prog.SCLabel(op, ws.curMS.M[op.Loc], program.ValCount)
-			if !enabled {
-				continue // blocked wait/BCAS
-			}
-			afail := v.p.Threads[t].ApplyInto(ws.cur.Threads[t], label, &ws.nxt.Threads[t])
-			step := explore.Step{Tid: lang.Tid(t), Lab: label}
-			if afail != nil {
-				verdict.Robust = false
-				verdict.Trace = append(store.Trace(item.ID), step)
-				if red != nil && red.symm() {
-					explore.Concretize(verdict.Trace, red.nT)
-					af := *afail
-					af.Tid = verdict.Trace[len(verdict.Trace)-1].Tid
-					afail = &af
-				}
-				verdict.AssertFail = afail
-				verdict.States = store.Len()
-				return finish()
-			}
-			var cz uint64
-			if useSleep {
-				cz = childSleep(ops, t, sleepZ|expandedSoFar)
-			}
-			expandedSoFar |= uint64(1) << t
-			savedTS := ws.cur.Threads[t]
-			ws.cur.Threads[t] = ws.nxt.Threads[t]
-			ws.nextMS.CopyFrom(&ws.curMS)
-			v.mon.Step(ws.nextMS, lang.Tid(t), label)
-			var key []byte
-			if red != nil && red.symm() && !red.canonPerm(ws.cur, ws.nextMS, ws.perm) {
-				if !requeued {
-					ws.cSym++
-				}
-				step.Perm = explore.PackPerm(ws.perm)
-				cz = permuteMask(cz, ws.perm)
-				ws.keyBuf = ws.keyBuf[:0]
-				ws.keyBuf = v.p.EncodeStatePerm(ws.keyBuf, ws.cur, ws.perm)
-				ws.keyBuf = v.mon.EncodePerm(ws.keyBuf, ws.nextMS, ws.perm)
-				key = ws.keyBuf
-			} else {
-				key = ws.encode(v, ws.cur, ws.nextMS)
-			}
-			ws.cur.Threads[t] = savedTS
-			if useSleep {
-				if id, _, shrunk := store.AddBytesSleep(key, item.ID, step, cz); shrunk && id < next {
-					requeue = append(requeue, id)
-				}
-			} else {
-				id, isNew := store.AddBytes(key, item.ID, step)
-				if isNew && opts.HashCompact {
-					queue.Push(id, ws.pushPayload(true, key))
-				}
-			}
-		}
-		if opts.HashCompact {
-			ws.recycle(item.St)
 		}
 	}
-	verdict.States = store.Len()
-	return finish()
+	if opts.Ctx != nil && opts.Ctx.Err() != nil {
+		return nil, canceled(opts.Ctx)
+	}
+	verdict.Elapsed = time.Since(start)
+	return verdict, nil
 }
 
 // FormatTrace renders a verdict's counterexample trace with the program's

@@ -116,18 +116,6 @@ func TestExplainAndTrace(t *testing.T) {
 	}
 }
 
-// TestKeepAllViolations collects multiple violating states.
-func TestKeepAllViolations(t *testing.T) {
-	e, _ := litmus.Get("SB")
-	v, err := core.Verify(e.Program(), core.Options{AbstractVals: true, KeepAllViolations: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Violations) < 2 {
-		t.Errorf("expected violations from both threads, got %d", len(v.Violations))
-	}
-}
-
 // TestMetadataBitsReported checks the §5.1 size is surfaced on the
 // verdict and shrinks under abstraction when the program has few critical
 // values.

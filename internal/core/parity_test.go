@@ -9,50 +9,18 @@ import (
 	"repro/internal/staterobust"
 )
 
-// TestParallelParity checks the tentpole determinism claim: the parallel
-// engine returns the same verdict as the sequential reference path on
-// every corpus program, at every worker count, and — on robust programs,
-// where the run is a full exploration — the exact same state count. On
-// non-robust programs workers race to the first counterexample, so only
-// the verdict (and the validity of the reported trace) is compared.
+// TestParallelParity checks the engine's determinism claim: on every
+// corpus program the verdict, the state count, the reported violation or
+// assertion failure and the trace length are the same at 1, 2 and 4
+// workers, robust or not — a non-robust run stops once its violation's
+// level is complete — and every non-robust trace replays on a Stepper to
+// the reported violation.
 func TestParallelParity(t *testing.T) {
 	for _, e := range litmus.All() {
 		if e.Big {
 			continue
 		}
-		p := e.Program()
-		seq, err := core.Verify(p, core.Options{AbstractVals: true, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 4} {
-			par, err := core.Verify(p, core.Options{AbstractVals: true, Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", e.Name, w, err)
-			}
-			if par.Robust != seq.Robust {
-				t.Errorf("%s workers=%d: Robust=%v, sequential says %v",
-					e.Name, w, par.Robust, seq.Robust)
-				continue
-			}
-			if seq.Robust && par.States != seq.States {
-				t.Errorf("%s workers=%d: States=%d, sequential counted %d",
-					e.Name, w, par.States, seq.States)
-			}
-			if !par.Robust {
-				// The parallel trace need not match the sequential one (or
-				// be shortest), but it must exist and FormatTrace must
-				// accept it — a replay of every step against the program.
-				if len(par.Violations) == 0 && par.AssertFail == nil {
-					t.Errorf("%s workers=%d: non-robust verdict with no violation", e.Name, w)
-				}
-				if len(par.Trace) == 0 {
-					t.Errorf("%s workers=%d: non-robust verdict with empty trace", e.Name, w)
-				} else if out := core.FormatTrace(p, par.Trace); out == "" {
-					t.Errorf("%s workers=%d: FormatTrace rejected the parallel trace", e.Name, w)
-				}
-			}
-		}
+		core.CheckWorkers(t, e.Name, e.Program(), core.Options{AbstractVals: true})
 	}
 }
 
@@ -84,35 +52,20 @@ func TestParallelParityHashCompact(t *testing.T) {
 	}
 }
 
-// TestParallelParitySC checks the plain-SC explorer's parallel path the
-// same way: full runs (no assertion failure) must agree exactly.
+// TestParallelParitySC checks the plain-SC explorer the same way: the
+// state count and the assertion failure, if any, agree at 1, 2 and 4
+// workers.
 func TestParallelParitySC(t *testing.T) {
 	for _, e := range litmus.All() {
 		if e.Big {
 			continue
 		}
-		p := e.Program()
-		seq, err := core.VerifySC(p, core.Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := core.VerifySC(p, core.Options{Workers: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		if (par.AssertFail == nil) != (seq.AssertFail == nil) {
-			t.Errorf("%s: parallel AssertFail=%v, sequential %v",
-				e.Name, par.AssertFail, seq.AssertFail)
-			continue
-		}
-		if seq.AssertFail == nil && par.States != seq.States {
-			t.Errorf("%s: SC parallel States=%d, sequential %d", e.Name, par.States, seq.States)
-		}
+		core.CheckWorkersSC(t, e.Name, e.Program(), core.Options{})
 	}
 }
 
 // TestParallelParityMaxStates checks that the state bound still trips in
-// parallel mode. Workers race past the bound by up to a batch each, so
+// parallel mode. Workers commit past the bound by up to a shard each, so
 // only the error, not the exact count, is compared.
 func TestParallelParityMaxStates(t *testing.T) {
 	e, err := litmus.Get("ticketlock")

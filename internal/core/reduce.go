@@ -27,13 +27,16 @@ package core
 //   - Sleep sets. Each stored state carries a mask of threads whose pending
 //     operations are provably redundant there: exploring them would only
 //     commute with an already-explored edge of the parent. On revisits the
-//     masks intersect, and a strict shrink re-queues the state so formerly
-//     elided edges are explored (the standard fixpoint discipline on
-//     non-tree state graphs). Sleep sets elide edges, never states, so the
-//     distinct-state count is unchanged by them and stays worker-count-
-//     independent: the final masks are the greatest fixpoint of a monotone
-//     system, which chaotic iteration reaches in any order. Exact visited
-//     set only — hash-compacted stores keep no keys to re-expand from.
+//     masks intersect, and a strict shrink of an expanded state's mask
+//     expands it again on the next level, so formerly elided edges are
+//     explored (the standard fixpoint discipline on non-tree state
+//     graphs). Sleep sets elide edges, never states, so the distinct-state
+//     count of a full run is unchanged by them: the final masks are the
+//     greatest fixpoint of a monotone system, which chaotic iteration
+//     reaches in any order. Each level's masks are the intersection over
+//     the level's parents, so every level, and the count of a run stopped
+//     on one, is worker-count-independent too. Exact visited set only —
+//     hash-compacted stores drop the keys of expanded states.
 //
 //   - Thread symmetry. Threads with byte-identical code (prog.SymClasses'
 //     raw serialization, register indices verbatim) are interchangeable:
@@ -69,7 +72,7 @@ const maxSleepThreads = 64
 
 // reducer is the immutable per-run reduction oracle, shared read-only by
 // all workers; mutable scratch (the permutation buffer, counters) lives in
-// the per-worker scratch structs.
+// the search's workers.
 type reducer struct {
 	prog *lang.Program
 	p    *prog.P

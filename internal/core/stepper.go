@@ -83,17 +83,9 @@ func (s *Stepper) Step(t lang.Tid) (lab lang.Label, ok bool, fail *prog.AssertFa
 	return lab, true, nil
 }
 
-// Violation evaluates Verify's per-state checks at the current state —
-// the Theorem 5.3 conditions on every pending operation, then the §6
-// racy-state condition — and returns the first violation, or nil.
+// Violation evaluates Verify's per-state checks at the current state and
+// returns the first violation, or nil.
 func (s *Stepper) Violation() *scm.Violation {
-	for t := range s.ops {
-		if viol := s.v.mon.CheckOp(s.ms, lang.Tid(t), s.ops[t]); viol != nil {
-			return viol
-		}
-	}
-	if s.v.hasNA {
-		return s.v.mon.CheckRace(s.ops)
-	}
-	return nil
+	viol, _ := s.v.violation(s.ms, s.ops)
+	return viol
 }

@@ -170,20 +170,40 @@ func main() {
 		}
 		os.Exit(1)
 	}
+	// A finding ends the search once its BFS level is expanded in full, as
+	// in the engine: a violation outranks an assertion failure, and
+	// otherwise the level's first finding is reported.
+	found, foundID, foundAssert := "", int32(0), false
+	note := func(id int32, why string, assert bool) {
+		if found == "" || foundAssert && !assert {
+			found, foundID, foundAssert = why, id, assert
+		}
+	}
+	levelEnd := len(queue)
 	for head := 0; head < len(queue); head++ {
+		if head == levelEnd {
+			if found != "" {
+				report(foundID, found)
+			}
+			levelEnd = len(queue)
+		}
 		cur := queue[head]
 		curID := visited[canon(cur)]
 		var ops [nT]op
 		for t := 0; t < nT; t++ {
 			ops[t] = opFns[t](&cur)
 		}
-		for t := 0; t < nT; t++ {
-			if why := checkOp(&cur, t, ops[t]); why != "" {
-				report(curID, fmt.Sprintf("thread %s: %s", thrName[t], why))
+		why := ""
+		for t := 0; t < nT && why == ""; t++ {
+			if w := checkOp(&cur, t, ops[t]); w != "" {
+				why = fmt.Sprintf("thread %s: %s", thrName[t], w)
 			}
 		}
-		if why := checkRace(&ops); why != "" {
-			report(curID, why)
+		if why == "" {
+			why = checkRace(&ops)
+		}
+		if why != "" {
+			note(curID, why, false)
 		}
 		for t := 0; t < nT; t++ {
 			o := ops[t]
@@ -246,7 +266,8 @@ func main() {
 			if !epsFns[t](&next) {
 				steps = append(steps, rec)
 				parents = append(parents, curID)
-				report(int32(len(parents)-1), fmt.Sprintf("assertion failed in %s", thrName[t]))
+				note(int32(len(parents)-1), fmt.Sprintf("assertion failed in %s", thrName[t]), true)
+				continue
 			}
 			key := canon(next)
 			if _, ok := visited[key]; !ok {
@@ -256,6 +277,9 @@ func main() {
 				queue = append(queue, next)
 			}
 		}
+	}
+	if found != "" {
+		report(foundID, found)
 	}
 	fmt.Printf("ROBUST (%d states)\n", len(visited))
 }`)

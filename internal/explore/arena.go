@@ -28,20 +28,25 @@ type arena struct {
 // intern appends b to the arena and returns its ref. A key never straddles
 // blocks: when the current block lacks room a new one is started (wasting
 // the tail), and a key larger than the block size gets a dedicated block.
+// A new block reuses the next one a reset left, if b fits.
 func (a *arena) intern(b []byte) keyRef {
 	last := len(a.blocks) - 1
 	if last < 0 || len(a.blocks[last])+len(b) > cap(a.blocks[last]) {
-		size := arenaMinBlock
-		if last >= 0 {
-			size = 2 * cap(a.blocks[last])
-			if size > arenaMaxBlock {
-				size = arenaMaxBlock
+		if last+1 < cap(a.blocks) && cap(a.blocks[:last+2][last+1]) >= len(b) {
+			a.blocks = a.blocks[:last+2]
+		} else {
+			size := arenaMinBlock
+			if last >= 0 {
+				size = 2 * cap(a.blocks[last])
+				if size > arenaMaxBlock {
+					size = arenaMaxBlock
+				}
 			}
+			if len(b) > size {
+				size = len(b)
+			}
+			a.blocks = append(a.blocks[:last+1], make([]byte, 0, size))
 		}
-		if len(b) > size {
-			size = len(b)
-		}
-		a.blocks = append(a.blocks, make([]byte, 0, size))
 		last++
 	}
 	blk := a.blocks[last]
@@ -54,4 +59,13 @@ func (a *arena) intern(b []byte) keyRef {
 // valid indefinitely, never to be mutated.
 func (a *arena) bytes(r keyRef) []byte {
 	return a.blocks[r.blk][r.off : uint64(r.off)+uint64(r.n) : uint64(r.off)+uint64(r.n)]
+}
+
+// reset empties the arena for reuse: its keys are dropped, and its blocks
+// are filled again by later interns.
+func (a *arena) reset() {
+	for i := range a.blocks {
+		a.blocks[i] = a.blocks[i][:0]
+	}
+	a.blocks = a.blocks[:0]
 }

@@ -108,9 +108,9 @@ func TestStoreTraceAcrossArenaGrowth(t *testing.T) {
 // TestShardedConcurrentIntern hammers a Sharded store from many goroutines
 // with overlapping key sets (every key is offered by several goroutines, so
 // duplicate detection races against first-insert on every shard), then
-// verifies the distinct count and that AppendKey reproduces every key
-// byte-for-byte. Run under -race this doubles as the data-race check for
-// concurrent arena interning and table growth.
+// verifies the distinct count and that Key reproduces every key
+// byte-for-byte once they are done. Run under -race this doubles as the
+// data-race check for concurrent arena interning and table growth.
 func TestShardedConcurrentIntern(t *testing.T) {
 	s := explore.NewSharded(false)
 	const (
@@ -124,18 +124,12 @@ func TestShardedConcurrentIntern(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			ids := make(map[int]int64)
-			buf := make([]byte, 0, 64)
 			// Each worker covers an overlapping window of the key space.
 			for i := 0; i < keys; i++ {
 				k := (i + w*keys/4) % keys
 				key := []byte(fmt.Sprintf("state-%d-%[1]d", k))
 				id, _ := s.Add(key, -1, explore.Step{})
 				ids[k] = id
-				// Read back immediately through the locked re-materializer.
-				buf = s.AppendKey(buf[:0], id)
-				if !bytes.Equal(buf, key) {
-					panic(fmt.Sprintf("AppendKey(%d) = %q, want %q", id, buf, key))
-				}
 			}
 			idsCh <- ids
 		}(w)
@@ -155,11 +149,10 @@ func TestShardedConcurrentIntern(t *testing.T) {
 			ref[k] = id
 		}
 	}
-	buf := make([]byte, 0, 64)
 	for k, id := range ref {
 		want := []byte(fmt.Sprintf("state-%d-%[1]d", k))
-		if buf = s.AppendKey(buf[:0], id); !bytes.Equal(buf, want) {
-			t.Fatalf("AppendKey(%d) = %q, want %q", id, buf, want)
+		if got := s.Key(id); !bytes.Equal(got, want) {
+			t.Fatalf("Key(%d) = %q, want %q", id, got, want)
 		}
 	}
 }

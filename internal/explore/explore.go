@@ -1,13 +1,15 @@
 // Package explore provides the explicit-state search infrastructure shared
 // by the repository's model checkers: visited-state stores with parent
-// links for counterexample reconstruction (sequential and sharded/
-// concurrent, exact and hash-compacted), a concurrent key set, a FIFO
-// frontier, and two parallel search engines: work-sharing (RunParallel)
-// and level-synchronous (RunLevels). It plays the role Spin plays for
-// the paper's Rocker prototype — exhaustive exploration of a finite LTS
-// with trace reporting — without Spin's Promela front end, which this
-// repository replaces with direct in-process state generation, and with
-// Spin's multi-core mode replaced by RunParallel over a Sharded store.
+// links for counterexample reconstruction (the concurrent Sharded, exact
+// or hash-compacted, and the sequential Store of the reference explorers
+// kept as test oracles), a concurrent key set, a FIFO frontier, and two
+// parallel search engines. RunLevels, the level-synchronous one, runs
+// core's Verify and VerifySC and the state checkers ReachableSC and
+// CheckState; the work-sharing RunParallel now serves only staterobust's
+// CheckRA and CheckSRA. It plays the role Spin plays for the paper's
+// Rocker prototype — exhaustive exploration of a finite LTS with trace
+// reporting — without Spin's Promela front end, which this repository
+// replaces with direct in-process state generation.
 package explore
 
 import (

@@ -19,16 +19,19 @@ type LevelExpand func(w int, id int64, b *Batch) bool
 
 // levelChunk is the number of frontier ids a worker claims at a time; the
 // context is polled and progress accounted once per chunk. A level is
-// expanded and committed in rounds of at most levelRound ids, which
-// bounds the batches to a round's successors. A round of at most seqLevel
-// ids is expanded on the calling goroutine alone, and a commit of at most
-// seqCommit entries is run there: either takes about as long as waking
-// another worker, which the phase would then wait for.
+// expanded and committed in rounds: the workers claim no more chunks of a
+// round once its batches for the first commit hold roundEntries entries,
+// which bounds the batches. A round of at most seqLevel ids is expanded
+// on the calling goroutine alone, and a commit of at most seqCommit
+// entries is run there: either takes about as long as waking another
+// worker, which the phase would then wait for. The verifier's
+// instrumented states take microseconds each to expand, so a level of a
+// few chunks already pays for a second worker.
 const (
-	levelChunk = 32
-	levelRound = 256 * levelChunk
-	seqLevel   = 8 * levelChunk
-	seqCommit  = 8 * seqLevel
+	levelChunk   = 32
+	roundEntries = 1 << 15
+	seqLevel     = 2 * levelChunk
+	seqCommit    = 8 * seqLevel
 )
 
 // A Commit is one shard-grouped commit phase of a RunLevels round: the
@@ -42,9 +45,11 @@ type Commit struct {
 	// Probe: absent from its set), by the worker w committing the entry's
 	// shard, in the shard's commit order. It gets the entry's new id (for
 	// a Probe: the entry's parent), key and tag, and next, w's batch for
-	// the following commit (nil after the last). The key is valid for the
-	// call only. On may run under the shard's lock, so it must not touch
-	// Into.
+	// the following commit (nil after the last). A Sharded commit of
+	// sleep-lane entries also calls it, with id|Revisit, for a state it
+	// queues for re-expansion (Batch.AddSleep); the id joins the next
+	// level like a new one. The key is valid for the call only. On may
+	// run under the shard's lock, so it must not touch Into.
 	On func(w int, id int64, key []byte, tag uint8, next *Batch)
 	// Limit, when positive, bounds Into.Len(): once a shard's commit
 	// leaves more than Limit entries in Into, the workers claim no more
@@ -58,10 +63,12 @@ type Commit struct {
 type Target interface {
 	// commit interns the entries of shard si of the given buckets, in
 	// order, calling on for every one that is new (for a Probe: absent),
-	// with its id (a Probe: its parent).
+	// with its id (a Probe: its parent), and for every revisit.
 	commit(si int, bks []*bucket, on func(id int64, tag uint8, key []byte))
 	// Len returns the number of entries interned (0 for a Probe).
 	Len() int
+	// endLevel is called once every round of a level is committed.
+	endLevel()
 }
 
 // Probe commits a level's entries as lookups into Set: an entry is
@@ -71,17 +78,22 @@ type Probe struct{ Set *Set }
 // Len is 0: a Probe interns nothing.
 func (Probe) Len() int { return 0 }
 
+func (Probe) endLevel() {}
+
 // RunLevels explores breadth-first, one level at a time: every state of
 // level d is expanded, by up to workers goroutines (0 or negative:
 // GOMAXPROCS), before any state of level d+1. The frontier holds bare
 // store ids; expand re-materializes each state from its key.
 //
-// A level runs in rounds of at most levelRound of its ids, and a round in
-// phases. Expansion appends each successor to the worker's Batch, with
-// its Hash128, and writes no store. Then each of commits runs in turn:
-// the workers claim shards through a shared cursor, and a shard's entries
-// from every worker's batch are interned together, so each shard is
-// locked once and its table stays in cache while it takes them. The ids
+// A level runs in rounds of its ids, and a round in phases. A round
+// batches about roundEntries entries for its first commit, and no more
+// than that commit's Limit leaves room for, so that a search that crosses
+// its bound expands little past it. Expansion appends each successor to
+// the worker's Batch, with its Hash128, and writes no store. Then each of
+// commits runs in turn: the workers claim shards through a shared cursor,
+// and a shard's entries from every worker's batch are interned together,
+// so each shard is locked once and its table stays in cache while it
+// takes them. The ids
 // new to commits[0].Into in the rounds of level d form level d+1,
 // followed by roots[d+1]; the On of each commit may fill the batches of
 // the next one (a state's projection, say, filed into or probed against a
@@ -120,6 +132,8 @@ func RunLevels(workers int, roots [][]int64, expand LevelExpand, commits []Commi
 		stop     atomic.Bool
 		cursor   atomic.Int64
 		expanded atomic.Int64
+		batched  atomic.Int64 // this round's entries for commits[0]
+		budget   int64        // the round's cap on batched
 		level    []int64
 		part     []int64 // the ids of level expanded in this round
 		next     []int64
@@ -166,7 +180,7 @@ func RunLevels(workers int, roots [][]int64, expand LevelExpand, commits []Commi
 	}
 	expandWork := func(w int) {
 		b := ws[w].batches[0]
-		for !stop.Load() {
+		for !stop.Load() && batched.Load() < budget {
 			lo := int(cursor.Add(levelChunk)) - levelChunk
 			if lo >= len(part) {
 				return
@@ -176,12 +190,14 @@ func RunLevels(workers int, roots [][]int64, expand LevelExpand, commits []Commi
 				return
 			}
 			hi := min(lo+levelChunk, len(part))
+			n0 := b.now.n
 			for _, id := range part[lo:hi] {
 				if !expand(w, id, b) {
 					stop.Store(true)
 					return
 				}
 			}
+			batched.Add(int64(b.now.n - n0))
 			n := int64(hi - lo)
 			if total := expanded.Add(n); opts.Progress != nil && total/every != (total-n)/every {
 				opts.Progress(total)
@@ -238,14 +254,21 @@ func RunLevels(workers int, roots [][]int64, expand LevelExpand, commits []Commi
 		if d < len(roots) {
 			level = append(level, roots[d]...)
 		}
-		// A wide level is expanded and committed in rounds of at most
-		// levelRound ids, which bounds the batches.
-		for lo := 0; lo == 0 || lo < len(level); lo += levelRound {
-			part = level[lo:min(lo+levelRound, len(level))]
+		// A wide level is expanded and committed in rounds, each ending
+		// once its batches hold budget entries; the chunks claimed by
+		// then are the round's ids.
+		for lo, first := 0, true; first || lo < len(level); lo, first = lo+len(part), false {
+			part = level[lo:]
+			budget = roundEntries
+			if c := commits[0]; c.Limit > 0 {
+				budget = max(min(budget, int64(c.Limit-c.Into.Len())), 1)
+			}
+			batched.Store(0)
 			run(workers > 1 && len(part) > seqLevel, expandWork)
 			if stop.Load() {
 				return false
 			}
+			part = part[:min(int(cursor.Load()), len(part))]
 			for k := range commits {
 				var mask uint64
 				entries := 0
@@ -266,6 +289,9 @@ func RunLevels(workers int, roots [][]int64, expand LevelExpand, commits []Commi
 					now.mask, now.n = 0, 0
 				}
 			}
+		}
+		for _, c := range commits {
+			c.Into.endLevel()
 		}
 		deferred = false
 		for _, wk := range ws {
@@ -303,9 +329,13 @@ type batchSet struct {
 }
 
 // bucket is one shard's entries of a batch, their keys packed in keys.
+// sleep is the sleep lane: each entry's mask when the batch's entries
+// were added with AddSleep, and empty otherwise, so the entries of
+// callers without sleep sets carry no mask.
 type bucket struct {
-	keys []byte
-	ents []entry
+	keys  []byte
+	ents  []entry
+	sleep []uint64
 }
 
 // entry is one batched key: the Hash128 lane that probes its shard's
@@ -325,6 +355,21 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 // The key is copied, so callers may reuse the backing buffer.
 func (b *Batch) Add(key []byte, parent int64, step Step, tag uint8) {
 	b.now.add(key, parent, step, tag)
+}
+
+// AddSleep is Add for sleep-set exploration: sleep is the mask of
+// threads the arriving edge justifies putting to sleep at the target
+// state. A Sharded store commits the mask with the entry: a new state
+// takes the intersection of the masks of every entry of its level that
+// reaches it, and an already expanded state whose mask strictly shrinks
+// is handed to the commit's On again, as id|Revisit, so that RunLevels
+// expands it once more on the next level. Until that level starts the
+// state's Sleep mask stays what it was, so what a level expands does not
+// depend on how it is split into rounds. A batch's entries are either
+// all added with AddSleep or none.
+func (b *Batch) AddSleep(key []byte, parent int64, step Step, sleep uint64) {
+	bk := b.now.add(key, parent, step, 0)
+	bk.sleep = append(bk.sleep, sleep)
 }
 
 // Defer batches key for the next level's commit: a new state it names
@@ -358,7 +403,7 @@ func (b *Batch) clear() {
 	}
 }
 
-func (s *batchSet) add(key []byte, parent int64, step Step, tag uint8) {
+func (s *batchSet) add(key []byte, parent int64, step Step, tag uint8) *bucket {
 	h := Hash128(key)
 	si := h[0] & shardMask
 	bk := &s.bks[si]
@@ -367,11 +412,12 @@ func (s *batchSet) add(key []byte, parent int64, step Step, tag uint8) {
 	bk.ents = append(bk.ents, entry{h: h[1], parent: parent, step: step, off: uint32(off), n: uint32(len(key)), tag: tag})
 	s.mask |= 1 << si
 	s.n++
+	return bk
 }
 
 func (bk *bucket) key(e *entry) []byte { return bk.keys[e.off : e.off+e.n : e.off+e.n] }
 
-func (bk *bucket) reset() { bk.keys, bk.ents = bk.keys[:0], bk.ents[:0] }
+func (bk *bucket) reset() { bk.keys, bk.ents, bk.sleep = bk.keys[:0], bk.ents[:0], bk.sleep[:0] }
 
 func (p Probe) commit(si int, bks []*bucket, on func(int64, uint8, []byte)) {
 	sh := &p.Set.shards[si]

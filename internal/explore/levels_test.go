@@ -166,7 +166,7 @@ func TestRunLevelsAbort(t *testing.T) {
 }
 
 // TestSetConcurrent hammers a Set from several goroutines with
-// overlapping keys and checks Add, Has, Len, AppendKey and Range agree.
+// overlapping keys and checks Add, Has, Len, Key and Range agree.
 func TestSetConcurrent(t *testing.T) {
 	s := explore.NewSet()
 	const keys, goroutines = 4000, 4
@@ -195,8 +195,8 @@ func TestSetConcurrent(t *testing.T) {
 	}
 	for k := range ids {
 		want := fmt.Sprintf("key-%d", k)
-		if got := s.AppendKey(nil, ids[k].Load()-1); string(got) != want {
-			t.Fatalf("AppendKey = %q, want %q", got, want)
+		if got := s.Key(ids[k].Load() - 1); string(got) != want {
+			t.Fatalf("Key = %q, want %q", got, want)
 		}
 	}
 	if s.Has([]byte("absent")) {

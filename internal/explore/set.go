@@ -56,16 +56,6 @@ func (s *Set) Has(key []byte) bool {
 	return ok
 }
 
-// AppendKey appends the key with the given id to dst, copying under the
-// shard lock as Sharded.AppendKey does.
-func (s *Set) AppendKey(dst []byte, id int64) []byte {
-	sh := &s.shards[id&shardMask]
-	sh.mu.Lock()
-	dst = append(dst, sh.keys.key(int32(id>>shardBits))...)
-	sh.mu.Unlock()
-	return dst
-}
-
 // Key returns the key with the given id without locking, aliasing the
 // set's storage. Like Sharded.Key it is for RunLevels expansions, during
 // which no other goroutine writes s.
@@ -91,6 +81,8 @@ func (s *Set) commit(si int, bks []*bucket, on func(int64, uint8, []byte)) {
 	sh.mu.Unlock()
 	s.count.Add(int64(added))
 }
+
+func (s *Set) endLevel() {}
 
 // Len returns the number of keys.
 func (s *Set) Len() int { return int(s.count.Load()) }

@@ -18,12 +18,16 @@ const (
 // Sharded is a concurrent visited-state store: the encoding's Hash128
 // digest selects one of 64 independently-locked shards, each an exact
 // open-addressing table over an append-only key arena (or a hash-compacted
-// map) plus per-state parent/step trace links. It is the concurrent
-// counterpart of Store, used by the parallel explorers; ids are int64
-// (packed shard + local index) rather than Store's dense int32s. Like
-// Store's exact mode, steady-state interning performs no per-state heap
-// allocation: keys go into per-shard arenas and every table grows
+// map) plus per-state parent/step trace links. It is the store of the
+// parallel explorers; ids are int64s (packed shard + local index). Like
+// Store, the exact mode interns with no per-state heap allocation in
+// steady state: keys go into per-shard arenas and every table grows
 // geometrically.
+//
+// A hash-compacted store keeps the 128-bit digests of its states, and the
+// keys only of the states RunLevels has yet to expand: those of the level
+// being expanded and of the one being committed. Its searches therefore
+// take roots on their first level only.
 type Sharded struct {
 	hashCompact bool
 	count       atomic.Int64
@@ -36,10 +40,33 @@ type shard struct {
 	keys   keyTable            // exact mode, probed by the second Hash128 lane
 	parent []int64
 	step   []Step
-	// sleep holds per-state thread masks for sleep-set exploration
-	// (AddSleep), indexed by local id; absent entries read as 0.
-	sleep []uint64
+	// fresh is the first local id interned by the commits of the current
+	// RunLevels level: the ids below it are expanded by the end of the
+	// level, the ones above are the next level's.
+	fresh int32
+	// sleep holds the per-state masks of the sleep lane (Batch.AddSleep),
+	// indexed by local id; absent entries read as 0. shrunk holds the
+	// masks of states below fresh that this level's commits shrank, until
+	// the level ends.
+	sleep  []uint64
+	shrunk map[int32]uint64
+	// Hash-compact mode: the keys of the states below fresh (local ids
+	// from lo) and of those from fresh on.
+	lo        int32
+	cur, next levelKeys
 }
+
+// levelKeys holds the keys of one level's states of a hash-compacted
+// shard, in local-id order.
+type levelKeys struct {
+	arena arena
+	refs  []keyRef
+}
+
+// Revisit flags a frontier id whose state RunLevels expands again because
+// a sleep-lane commit strictly shrank the state's mask (Batch.AddSleep).
+// Store ids stay below 1<<37.
+const Revisit = int64(1) << 61
 
 // NewSharded returns an empty sharded store, exact or hash-compacted. The
 // exact shards start out in one slab (see slab), the hash-compacted ones
@@ -69,74 +96,69 @@ func NewSharded(hashCompact bool) *Sharded {
 // always already-interned states. The key is copied (into the shard's
 // arena) only when new, so callers may reuse the backing buffer.
 func (s *Sharded) Add(key []byte, parent int64, step Step) (int64, bool) {
-	id, isNew, _ := s.add(key, parent, step, 0, false)
-	return id, isNew
-}
-
-// AddSleep is Add for sleep-set exploration, with the same contract as
-// Store.AddBytesSleep: a new state stores the incoming thread mask, a
-// revisit intersects it into the stored mask, and shrunk=true tells the
-// caller to re-expand the state. The mask update happens under the shard
-// lock, so concurrent contributions never lose intersections.
-func (s *Sharded) AddSleep(key []byte, parent int64, step Step, sleep uint64) (id int64, isNew, shrunk bool) {
-	return s.add(key, parent, step, sleep, true)
-}
-
-func (s *Sharded) add(key []byte, parent int64, step Step, sleep uint64, useSleep bool) (int64, bool, bool) {
 	h := Hash128(key)
-	si := h[0] & shardMask
+	si := int(h[0] & shardMask)
 	sh := &s.shards[si]
 	sh.mu.Lock()
-	if s.hashCompact {
+	local, isNew := sh.intern(s.hashCompact, key, h, parent, step)
+	sh.mu.Unlock()
+	if isNew {
+		s.count.Add(1)
+	}
+	return int64(local)<<shardBits | int64(si), isNew
+}
+
+// intern adds key, with digest h, to the shard unless it is there, and
+// returns its local id and whether it was new. A new state records its
+// trace link and, in hash-compact mode, joins the next level's keys.
+func (sh *shard) intern(hashCompact bool, key []byte, h [2]uint64, parent int64, step Step) (int32, bool) {
+	if hashCompact {
 		if local, ok := sh.hashed[h]; ok {
-			shrunk := sh.mergeSleep(local, sleep, useSleep)
-			sh.mu.Unlock()
-			return int64(local)<<shardBits | int64(si), false, shrunk
+			return local, false
 		}
 		if sh.hashed == nil {
 			sh.hashed = make(map[[2]uint64]int32)
 		}
 		sh.hashed[h] = int32(len(sh.parent))
+		sh.next.refs = append(grown(sh.next.refs), sh.next.arena.intern(key))
 	} else if local, isNew := sh.keys.insert(key, h[1]); !isNew {
 		// The second hash lane drives the in-shard probe so that the bits
 		// consumed by shard selection don't degrade the table's spread.
-		shrunk := sh.mergeSleep(local, sleep, useSleep)
-		sh.mu.Unlock()
-		return int64(local)<<shardBits | int64(si), false, shrunk
-	}
-	local := int64(len(sh.parent))
-	if useSleep {
-		sh.ensureSleep(int(local) + 1)
-		sh.sleep[local] = sleep
+		return local, false
 	}
 	sh.parent = append(grown(sh.parent), parent)
 	sh.step = append(grown(sh.step), step)
-	sh.mu.Unlock()
-	s.count.Add(1)
-	return local<<shardBits | int64(si), true, false
+	return int32(len(sh.parent) - 1), true
 }
 
-// commit interns a level's entries for shard si (see RunLevels). Exact
-// mode only, as RunLevels expansions read keys back with Key.
+// commit interns a level's entries for shard si (see RunLevels), with
+// their sleep masks when the buckets carry the sleep lane.
 func (s *Sharded) commit(si int, bks []*bucket, on func(int64, uint8, []byte)) {
-	if s.hashCompact {
-		panic("explore: RunLevels commits need an exact Sharded store")
-	}
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	added := 0
 	for _, bk := range bks {
+		lane := len(bk.sleep) != 0
 		for i := range bk.ents {
 			e := &bk.ents[i]
 			key := bk.key(e)
-			local, isNew := sh.keys.insert(key, e.h)
-			if !isNew {
-				continue
+			h := [2]uint64{0, e.h}
+			if s.hashCompact {
+				h = Hash128(key) // the entry keeps one lane only
 			}
-			sh.parent = append(grown(sh.parent), e.parent)
-			sh.step = append(grown(sh.step), e.step)
-			added++
-			on(int64(local)<<shardBits|int64(si), e.tag, key)
+			local, isNew := sh.intern(s.hashCompact, key, h, e.parent, e.step)
+			id := int64(local)<<shardBits | int64(si)
+			switch {
+			case isNew:
+				if lane {
+					sh.ensureSleep(int(local) + 1)
+					sh.sleep[local] = bk.sleep[i]
+				}
+				added++
+				on(id, e.tag, key)
+			case lane && sh.meet(local, bk.sleep[i]):
+				on(id|Revisit, e.tag, key)
+			}
 		}
 	}
 	sh.mu.Unlock()
@@ -149,53 +171,78 @@ func (sh *shard) ensureSleep(n int) {
 	}
 }
 
-func (sh *shard) mergeSleep(local int32, sleep uint64, useSleep bool) bool {
-	if !useSleep {
+// meet intersects mask m into the sleep mask of the already interned
+// state local. A state of the next level takes it at once. A state below
+// fresh keeps its mask until the level ends, and meet reports whether
+// this is the level's first strict shrink of it, which calls for a
+// revisit.
+func (sh *shard) meet(local int32, m uint64) bool {
+	sh.ensureSleep(int(local) + 1)
+	if local >= sh.fresh {
+		sh.sleep[local] &= m
 		return false
 	}
-	sh.ensureSleep(int(local) + 1)
-	old := sh.sleep[local]
-	if ns := old & sleep; ns != old {
-		sh.sleep[local] = ns
+	if old, ok := sh.shrunk[local]; ok {
+		sh.shrunk[local] = old & m
+		return false
+	}
+	if old := sh.sleep[local]; old&m != old {
+		if sh.shrunk == nil {
+			sh.shrunk = make(map[int32]uint64)
+		}
+		sh.shrunk[local] = old & m
 		return true
 	}
 	return false
 }
 
-// Sleep returns the current sleep mask of state id (0 if never set).
+// endLevel ends a RunLevels level: the shrunk sleep masks take effect,
+// the level's new states become the ones to expand, and a hash-compacted
+// store drops the keys of the states just expanded.
+func (s *Sharded) endLevel() {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		if len(sh.shrunk) != 0 {
+			for local, m := range sh.shrunk {
+				sh.sleep[local] = m
+			}
+			clear(sh.shrunk)
+		}
+		if s.hashCompact {
+			sh.cur.arena.reset()
+			sh.cur.refs = sh.cur.refs[:0]
+			sh.cur, sh.next = sh.next, sh.cur
+			sh.lo = sh.fresh
+		}
+		sh.fresh = int32(len(sh.parent))
+	}
+}
+
+// Sleep returns the sleep mask of state id (0 if never set). Like Key it
+// reads without locking, for RunLevels expansions.
 func (s *Sharded) Sleep(id int64) uint64 {
 	sh := &s.shards[id&shardMask]
-	local := id >> shardBits
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if int(local) < len(sh.sleep) {
+	if local := id >> shardBits; int(local) < len(sh.sleep) {
 		return sh.sleep[local]
 	}
 	return 0
 }
 
-// AppendKey appends the interned encoding of state id to dst and returns
-// the extended slice. Exact mode only (hash-compacted stores keep no
-// keys). Unlike Store.KeyBytes it copies — under the shard lock — rather
-// than aliasing the arena, since another worker may grow the shard's block
-// list concurrently (RunParallel expands while other workers Add); the
-// caller supplies a reusable buffer, so the copy still allocates nothing
-// in steady state. This re-materialization is what lets the parallel
-// exact-mode frontier carry bare ids. RunLevels expansions, during which
-// no other goroutine writes the store, read keys with Key instead.
-func (s *Sharded) AppendKey(dst []byte, id int64) []byte {
-	sh := &s.shards[id&shardMask]
-	sh.mu.Lock()
-	dst = append(dst, sh.keys.key(int32(id>>shardBits))...)
-	sh.mu.Unlock()
-	return dst
-}
-
 // Key returns the interned encoding of state id without locking; it
-// aliases the arena and must not be mutated. Exact mode only. No other
+// aliases the store and must not be mutated. A hash-compacted store has
+// the keys of the states RunLevels has yet to expand only. No other
 // goroutine may write s meanwhile: it is for RunLevels expansions.
 func (s *Sharded) Key(id int64) []byte {
-	return s.shards[id&shardMask].keys.key(int32(id >> shardBits))
+	sh := &s.shards[id&shardMask]
+	local := int32(id >> shardBits)
+	switch {
+	case !s.hashCompact:
+		return sh.keys.key(local)
+	case local >= sh.fresh:
+		return sh.next.arena.bytes(sh.next.refs[local-sh.fresh])
+	default:
+		return sh.cur.arena.bytes(sh.cur.refs[local-sh.lo])
+	}
 }
 
 // Len returns the number of stored states. It reads an atomic counter, so

@@ -293,7 +293,7 @@ func Enforce(p *lang.Program, opts Options) ([]Placement, *lang.Program, error) 
 // field-wise and must name every field.
 func verifyOptions(v core.Options) core.Options {
 	if v.Model == core.ModelRA && !v.AbstractVals && v.MaxStates == 0 &&
-		!v.KeepAllViolations && !v.HashCompact && v.Workers == 0 &&
+		!v.HashCompact && v.Workers == 0 &&
 		v.Ctx == nil && v.Progress == nil && v.ProgressEvery == 0 &&
 		!v.Reduce && !v.StaticPrune {
 		return core.DefaultOptions()

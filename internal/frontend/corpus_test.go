@@ -28,10 +28,10 @@ var corpus = []struct {
 	repairs   []int // pinned fence-repair suggestion lines
 }{
 	{dir: "chaselev", ra: false, sra: false, tso: pb(false),
-		witnesses: []int{51}, repairs: []int{29, 51}},
+		witnesses: []int{29}, repairs: []int{29, 51}},
 	{dir: "dcl", ra: true, sra: true, tso: pb(true)},
 	{dir: "dekker", ra: false, sra: false, tso: pb(false),
-		witnesses: []int{27}, repairs: []int{20, 27}},
+		witnesses: []int{20}, repairs: []int{20, 27}},
 	{dir: "rcu", ra: true, sra: true, tso: pb(true), tsoSlow: true},
 	// seqlock is TSO-robust, but the attack-based checker needs ~30M
 	// states (~2 min); pin it manually with
@@ -87,7 +87,7 @@ func TestCorpusVerdicts(t *testing.T) {
 			rep, err := LintUnit(u, LintOptions{
 				Models:    models,
 				MaxStates: 30_000_000,
-				Workers:   1, // deterministic first-witness selection
+				Workers:   1, // the witness is the same at every worker count
 			})
 			if err != nil {
 				t.Fatalf("lint: %v", err)

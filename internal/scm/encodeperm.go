@@ -19,6 +19,12 @@ func (mon *Monitor) EncodePerm(dst []byte, s *State, perm []uint8) []byte {
 	locBytes := (mon.L + 7) / 8
 	valBytes := (mon.ValCount + 7) / 8
 	emit := func(off, n, width int) {
+		if width == 1 {
+			for _, b := range s.B[off : off+n] {
+				dst = append(dst, byte(b))
+			}
+			return
+		}
 		for i := 0; i < n; i++ {
 			b := s.B[off+i]
 			for k := 0; k < width; k++ {

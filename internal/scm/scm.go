@@ -34,6 +34,8 @@
 package scm
 
 import (
+	"slices"
+
 	"repro/internal/lang"
 )
 
@@ -422,6 +424,16 @@ func (mon *Monitor) Encode(dst []byte, s *State) []byte {
 	}
 	locBytes := (mon.L + 7) / 8
 	valBytes := (mon.ValCount + 7) / 8
+	if locBytes == 1 && valBytes == 1 {
+		// Every component is one byte wide, and the components are laid
+		// out in B in their encoding order.
+		n := len(dst)
+		dst = slices.Grow(dst, len(s.B))[:n+len(s.B)]
+		for i, b := range s.B {
+			dst[n+i] = byte(b)
+		}
+		return dst
+	}
 	emit := func(off, n, width int) {
 		for i := 0; i < n; i++ {
 			b := s.B[off+i]
@@ -459,6 +471,12 @@ func (mon *Monitor) Decode(data []byte, s *State) int {
 	}
 	locBytes := (mon.L + 7) / 8
 	valBytes := (mon.ValCount + 7) / 8
+	if locBytes == 1 && valBytes == 1 {
+		for i, b := range data[p : p+len(s.B)] {
+			s.B[i] = uint64(b)
+		}
+		return p + len(s.B)
+	}
 	read := func(off, n, width int) {
 		for i := 0; i < n; i++ {
 			var b uint64
