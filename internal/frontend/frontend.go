@@ -48,7 +48,6 @@ package frontend
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -165,7 +164,21 @@ func TranslateFiles(paths []string) (*Package, error) {
 
 // TranslateSources is TranslateFiles over in-memory file contents,
 // keyed by file name.
+//
+// Each call parses and fully type-checks its own files in a FileSet of
+// its own, so positions and findings depend on nothing but the input.
+// Imports resolve through one importer shared by the whole process, and
+// only standard-library packages (directories under GOROOT/src) can be
+// imported: a local, relative, GOPATH or module path fails the type
+// check with an error naming the import, before anything outside GOROOT
+// is read. Each imported package is parsed and type-checked on its first
+// import and then stays resident for the life of the process; the cache
+// is bounded by what GOROOT holds.
 func TranslateSources(srcs map[string]string) (*Package, error) {
+	return translateSources(srcs, stdlib)
+}
+
+func translateSources(srcs map[string]string, imp types.Importer) (*Package, error) {
 	fset := token.NewFileSet()
 	names := make([]string, 0, len(srcs))
 	for name := range srcs {
@@ -196,7 +209,7 @@ func TranslateSources(srcs map[string]string) (*Package, error) {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(pkgName, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("frontend: type check: %w", err)

@@ -148,29 +148,30 @@ func TestTranslateDeterminism(t *testing.T) {
 	}
 }
 
-func TestDeclines(t *testing.T) {
-	cases := []struct {
-		name      string
-		src       string
-		construct string
-	}{
-		{"channel", `package p
+// declineCases are sources the frontend must decline, each with the
+// construct named in the decline. They also seed FuzzTranslateSources.
+var declineCases = []struct {
+	name      string
+	src       string
+	construct string
+}{
+	{"channel", `package p
 func run() {
 	ch := make(chan int)
 	go func() { ch <- 1 }()
 	<-ch
 }`, "statement before goroutine spawn"},
-		{"mutex", `package p
+	{"mutex", `package p
 import "sync"
 var mu sync.Mutex
 func worker() { mu.Lock(); mu.Unlock() }
 func run() { go worker(); go worker() }`, "unmodeled call"},
-		{"pointer escape", `package p
+	{"pointer escape", `package p
 import "sync/atomic"
 var x atomic.Int32
 func worker(p *atomic.Int32) { p.Store(1) }
 func run() { go worker(&x); go worker(&x) }`, "non-constant goroutine argument"},
-		{"unbounded loop unroll", `package p
+	{"unbounded loop unroll", `package p
 import "sync/atomic"
 var x atomic.Int32
 func worker() {
@@ -179,7 +180,7 @@ func worker() {
 	}
 }
 func run() { go worker(); go worker() }`, "oversize counted loop"},
-		{"nested go", `package p
+	{"nested go", `package p
 import "sync/atomic"
 var x atomic.Int32
 func run() {
@@ -187,12 +188,14 @@ func run() {
 		go x.Store(1)
 	}()
 }`, "nested goroutine"},
-		{"single thread", `package p
+	{"single thread", `package p
 import "sync/atomic"
 var x atomic.Int32
 func run() { go x.Store(1) }`, "goroutine target"},
-	}
-	for _, tc := range cases {
+}
+
+func TestDeclines(t *testing.T) {
+	for _, tc := range declineCases {
 		t.Run(tc.name, func(t *testing.T) {
 			pkg, err := TranslateSources(map[string]string{"test.go": "//rocker:vals 4\n" + tc.src})
 			if err != nil {

@@ -154,9 +154,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	for _, u := range pkg.Units {
+		digest := prog.CanonicalDigest(u.Prog)
 		au := AnalyzeUnit{
 			Name: u.Name, File: u.Pos.Filename, Line: u.Pos.Line,
-			Digest:   prog.CanonicalDigest(u.Prog).String(),
+			Digest:   digest.String(),
 			Lit:      frontend.EmitLit(u),
 			Verdicts: map[string]bool{},
 		}
@@ -166,7 +167,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// response carries witnesses and repair suggestions.
 		var run []string
 		for _, m := range req.Models {
-			key := verkey.Key(prog.CanonicalDigest(u.Prog), m, maxStates, true, false, true)
+			key := verkey.Key(digest, m, maxStates, true, false, true)
 			if res, source := s.cachedResult(key); res != nil && res.Robust {
 				au.Verdicts[m] = true
 				if au.Cached == nil {
@@ -195,7 +196,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			elapsed := float64(time.Since(start).Microseconds()) / 1000
 			for _, m := range run {
 				au.Verdicts[m] = rep.Verdicts[m]
-				key := verkey.Key(prog.CanonicalDigest(u.Prog), m, maxStates, true, false, true)
+				key := verkey.Key(digest, m, maxStates, true, false, true)
 				s.memoize(key, &Result{Mode: m, Robust: rep.Verdicts[m], ElapsedMs: elapsed}, true)
 			}
 			findings = rep.Findings

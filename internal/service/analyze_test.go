@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 
@@ -218,5 +219,30 @@ func run() {
 	defer resp4.Body.Close()
 	if resp4.StatusCode != http.StatusOK {
 		t.Errorf("text/plain analyze: code=%d, want 200", resp4.StatusCode)
+	}
+}
+
+// TestAnalyzeImportsStandardLibraryOnly pins that analyzed source cannot
+// import the server's own module, an unknown module path or a path
+// relative to the server's working directory: each is a 400 naming the
+// import, and the error text does not reveal the working directory.
+func TestAnalyzeImportsStandardLibraryOnly(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{MaxJobs: 1, Workers: 1})
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"repro/internal/lang", "example.com/nope", "./testdata"} {
+		src := strings.Replace(goMP, `import "sync/atomic"`, "import (\n\t\"sync/atomic\"\n\t_ \""+path+"\"\n)", 1)
+		resp, _, body := postAnalyze(t, ts.URL, service.AnalyzeRequest{Source: src})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("import %q: code=%d, want 400: %s", path, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), path+" is not a standard-library package") {
+			t.Errorf("import %q: error does not name the import: %s", path, body)
+		}
+		if strings.Contains(string(body), wd) {
+			t.Errorf("import %q: error reveals the working directory: %s", path, body)
+		}
 	}
 }
