@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -79,35 +80,55 @@ func TestParallelParityMaxStates(t *testing.T) {
 	}
 }
 
-// TestStateRobustParallelParity checks the ported RA state-robustness
-// explorer: worker count must not change any verdict or the weak-state
-// census (the weak set is a fixpoint, so it is schedule-independent even
-// on non-robust rows that stop at the first witness — the witness search
-// only runs after the full SC set is known).
+// TestStateRobustParallelParity checks that the RA state-robustness
+// oracle answers the same at 1, 2 and 4 workers, non-robust rows
+// included: its weak product is explored on one goroutine, and only the
+// SC side (ReachableSC) runs on the workers. The non-robust rows' counts
+// and witness lengths are pinned, and their witnesses must be equal.
 func TestStateRobustParallelParity(t *testing.T) {
-	for _, name := range []string{"SB", "MP", "2RMW", "barrier", "peterson-sc"} {
-		e, err := litmus.Get(name)
+	type pin struct{ explored, weak, witness int }
+	rows := []struct {
+		name string
+		pin  *pin // nil: robust
+	}{
+		{"SB", &pin{98, 11, 4}},
+		{"MP", nil},
+		{"2RMW", nil},
+		{"barrier", nil},
+		{"dekker-sc", &pin{430, 13, 4}},
+		{"peterson-sc", &pin{2244, 21, 6}},
+		{"IRIW", &pin{401, 69, 6}},
+		{"2+2W", &pin{1268, 19, 6}},
+		{"peterson-tso", &pin{17469, 64, 16}},
+	}
+	for _, row := range rows {
+		e, err := litmus.Get(row.name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := e.Program()
-		lim := staterobust.Limits{MaxStates: 3_000_000}
-		lim.Workers = 1
-		seq, err := staterobust.CheckRA(p, lim)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		lim.Workers = 4
-		par, err := staterobust.CheckRA(p, lim)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if par.Robust != seq.Robust {
-			t.Errorf("%s: parallel Robust=%v, sequential %v", name, par.Robust, seq.Robust)
-		}
-		if seq.Robust && par.WeakStates != seq.WeakStates {
-			t.Errorf("%s: parallel WeakStates=%d, sequential %d",
-				name, par.WeakStates, seq.WeakStates)
+		var first *staterobust.Result
+		for _, workers := range []int{1, 2, 4} {
+			res, err := staterobust.CheckRA(p, staterobust.Limits{MaxStates: 3_000_000, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", row.name, workers, err)
+			}
+			if res.Robust != (row.pin == nil) {
+				t.Errorf("%s, %d workers: Robust=%v", row.name, workers, res.Robust)
+				continue
+			}
+			if row.pin != nil {
+				if got := (pin{res.Explored, res.WeakStates, len(res.WitnessTrace)}); got != *row.pin {
+					t.Errorf("%s, %d workers: explored, weak states, witness length = %v, want %v", row.name, workers, got, *row.pin)
+				}
+			}
+			if first == nil {
+				first = res
+			} else if res.Explored != first.Explored || res.WeakStates != first.WeakStates || res.SCStates != first.SCStates ||
+				!slices.Equal(res.WitnessTrace, first.WitnessTrace) {
+				t.Errorf("%s, %d workers: explored %d, weak %d, sc %d, witness %v; 1 worker: %d, %d, %d, %v", row.name, workers,
+					res.Explored, res.WeakStates, res.SCStates, res.WitnessTrace, first.Explored, first.WeakStates, first.SCStates, first.WitnessTrace)
+			}
 		}
 	}
 }

@@ -317,10 +317,8 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 	if par, ok := verify("par", p, parOpts); ok && seqOK {
 		if seq.Robust != par.Robust {
 			r.addf("seq-vs-par", src, "sequential robust=%v, parallel robust=%v", seq.Robust, par.Robust)
-		} else if seq.Robust && seq.States != par.States {
-			// Counts are only comparable on robust (full) runs: a
-			// non-robust run stops early at a worker-dependent point.
-			r.addf("seq-vs-par", src, "exact state counts differ on a robust program: sequential %d, parallel %d", seq.States, par.States)
+		} else if seq.States != par.States {
+			r.addf("seq-vs-par", src, "exact state counts differ: sequential %d, parallel %d", seq.States, par.States)
 		}
 	}
 
@@ -660,29 +658,18 @@ func checkFenceRefute(r *Report, p *lang.Program, src string, trace []explore.St
 // of the fenced program erases to an RA run of the original reaching the
 // matching state — fence registers always read 0 because every fence
 // message carries 0 — and fence steps re-insert into any SC run, where
-// FADD is always enabled). The two CheckRA runs share an explicit
-// headroom: the fence adds a write instruction, and letting each run
-// derive its own headroom would give the mutant strictly more timestamp
-// freedom than the baseline, turning an approximation artifact into a
-// fake finding.
+// FADD is always enabled). The two CheckRA runs share the mutant's
+// derived headroom: the fence adds a write instruction, and letting each
+// run derive its own headroom would give the mutant strictly more
+// timestamp freedom than the baseline, turning an approximation artifact
+// into a fake finding.
 func checkFenceMonotone(r *Report, p *lang.Program, src string, cfg Config) {
 	tid, at, ok := fencePoint(p)
 	if !ok {
 		return
 	}
 	mutant := fence.Apply(p, []fence.Placement{{Kind: fence.InsertFence, Tid: tid, At: at}})
-	headroom := 3 // init slot analogue of staterobust's writes+2, plus the fence's write
-	for ti := range p.Threads {
-		for ii := range p.Threads[ti].Insts {
-			switch p.Threads[ti].Insts[ii].Kind {
-			case lang.IWrite, lang.IFADD, lang.ICAS, lang.IBCAS, lang.IXCHG:
-				headroom++
-			}
-		}
-	}
-	if headroom > 12 {
-		headroom = 12
-	}
+	headroom := staterobust.RAHeadroom(mutant, staterobust.Limits{})
 	lim := staterobust.Limits{MaxStates: cfg.raMaxStates(), Workers: 1, RAHeadroom: headroom}
 	pre, err := staterobust.CheckRA(p, lim)
 	if err != nil || !pre.Robust {

@@ -1,15 +1,14 @@
 // Package explore provides the explicit-state search infrastructure shared
 // by the repository's model checkers: visited-state stores with parent
 // links for counterexample reconstruction (the concurrent Sharded, exact
-// or hash-compacted, and the sequential Store of the reference explorers
-// kept as test oracles), a concurrent key set, a FIFO frontier, and two
-// parallel search engines. RunLevels, the level-synchronous one, runs
-// core's Verify and VerifySC and the state checkers ReachableSC and
-// CheckState; the work-sharing RunParallel now serves only staterobust's
-// CheckRA and CheckSRA. It plays the role Spin plays for the paper's
-// Rocker prototype — exhaustive exploration of a finite LTS with trace
-// reporting — without Spin's Promela front end, which this repository
-// replaces with direct in-process state generation.
+// or hash-compacted, and the sequential Store of staterobust's RA/SRA
+// oracle and of the reference explorers kept as test oracles), a
+// concurrent key set, and one parallel search engine, the
+// level-synchronous RunLevels, which runs core's Verify and VerifySC and
+// the state checkers ReachableSC and CheckState. It plays the role Spin
+// plays for the paper's Rocker prototype — exhaustive exploration of a
+// finite LTS with trace reporting — without Spin's Promela front end,
+// which this repository replaces with direct in-process state generation.
 package explore
 
 import (
@@ -153,7 +152,7 @@ func Concretize(trace []Step, n int) []uint8 {
 // toward 1.25× for large slices, which makes the cumulative bytes allocated
 // by a growing multi-million-element slice approach 5× its final size;
 // doubling keeps the cumulative total within 2×. Used on every per-state
-// slice of the stores and the frontier.
+// slice of the stores.
 func grown[T any](s []T) []T {
 	if len(s) == cap(s) && cap(s) >= 1024 {
 		ns := make([]T, len(s), 2*cap(s))
@@ -162,46 +161,3 @@ func grown[T any](s []T) []T {
 	}
 	return s
 }
-
-// Queue is a FIFO frontier of state payloads of type T paired with their
-// store ids.
-type Queue[T any] struct {
-	items []QItem[T]
-	head  int
-}
-
-// QItem pairs a payload with its store id.
-type QItem[T any] struct {
-	ID int32
-	St T
-}
-
-// Push enqueues a state.
-func (q *Queue[T]) Push(id int32, st T) {
-	q.items = append(grown(q.items), QItem[T]{id, st})
-}
-
-// Pop dequeues the oldest state; ok is false when the queue is empty.
-func (q *Queue[T]) Pop() (QItem[T], bool) {
-	if q.head >= len(q.items) {
-		return QItem[T]{}, false
-	}
-	it := q.items[q.head]
-	var zero T
-	q.items[q.head].St = zero // release payload memory early
-	q.head++
-	if q.head > 4096 && q.head*2 > len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		// Zero the vacated tail: after the copy the backing array still
-		// holds a second reference to every live payload past n, which
-		// would keep large frontiers' payloads reachable until they are
-		// overwritten by future pushes (if ever).
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	return it, true
-}
-
-// Len returns the number of queued states.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }

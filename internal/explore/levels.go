@@ -1,11 +1,33 @@
 package explore
 
 import (
+	"context"
 	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
+
+// RunOpts gives RunLevels cooperative cancellation and a progress hook.
+// The zero value has neither.
+type RunOpts struct {
+	// Ctx, when non-nil, cancels the search cooperatively: workers observe
+	// the cancellation between chunks of levelChunk ids, so at most
+	// workers·levelChunk further states are expanded after it fires. A
+	// cancelled run returns false, exactly like an aborted one; the caller
+	// distinguishes the two by inspecting Ctx.Err itself.
+	Ctx context.Context
+	// Progress, when non-nil, is invoked from a worker goroutine each time
+	// the cumulative expanded-state count crosses a multiple of
+	// ProgressEvery, with that count. It runs concurrently with other
+	// workers' expansions (and possibly with other Progress calls), so it
+	// must be cheap and goroutine-safe.
+	Progress func(expanded int64)
+	// ProgressEvery is the number of expanded states between Progress
+	// calls; 0 means 4096. The boundary is detected at chunk granularity,
+	// so calls land within levelChunk states of the exact multiple.
+	ProgressEvery int64
+}
 
 // LevelExpand expands state id on behalf of worker w, appending its
 // successors to b, the worker's batch for the level's first commit.

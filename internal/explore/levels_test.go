@@ -1,7 +1,6 @@
 package explore_test
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -145,8 +144,8 @@ func TestRunLevelsRoots(t *testing.T) {
 	}
 }
 
-// TestRunLevelsAbort checks that a false expand, or a cancelled context,
-// aborts the search and reports it.
+// TestRunLevelsAbort checks that a false expand aborts the search and
+// reports it.
 func TestRunLevelsAbort(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := newLevelGraph(1 << 20)
@@ -156,11 +155,31 @@ func TestRunLevelsAbort(t *testing.T) {
 		if explore.RunLevels(workers, g.root(), expand, g.commits(), nil, explore.RunOpts{}) {
 			t.Errorf("workers=%d: aborted search reported complete", workers)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		g = newLevelGraph(1 << 20)
-		if explore.RunLevels(workers, g.root(), g.expand, g.commits(), nil, explore.RunOpts{Ctx: ctx}) || len(g.depthOf) != 0 {
-			t.Errorf("workers=%d: cancelled search expanded %d states", workers, len(g.depthOf))
+		if g.s.Len() >= 1<<20 {
+			t.Errorf("workers=%d: abort did not cut the search (%d states)", workers, g.s.Len())
+		}
+	}
+}
+
+// TestRunParallelCancel checks cooperative cancellation on the parallel
+// level engine: once the expansion of one particular deep state returns
+// false, the search stops without deadlocking and reports it, for one
+// worker and for several.
+func TestRunParallelCancel(t *testing.T) {
+	const n = 1 << 20
+	for _, workers := range []int{1, 4} {
+		g := newLevelGraph(n)
+		expand := func(w int, id int64, b *explore.Batch) bool {
+			if binary.LittleEndian.Uint64(g.s.Key(id)) == 4097 { // deep enough that real work precedes it
+				return false
+			}
+			return g.expand(w, id, b)
+		}
+		if explore.RunLevels(workers, g.root(), expand, g.commits(), nil, explore.RunOpts{}) {
+			t.Fatalf("workers=%d: cancelled search reported complete", workers)
+		}
+		if g.s.Len() >= n {
+			t.Errorf("workers=%d: cancellation did not cut the search (visited %d)", workers, g.s.Len())
 		}
 	}
 }

@@ -252,12 +252,10 @@ func (s *Sharded) Len() int { return int(s.count.Load()) }
 
 // Trace reconstructs the steps from the root to state id by following the
 // recorded parent arcs. Every parent link points at an earlier-interned
-// state, so the walk terminates at the root; the result is a valid run,
-// though not necessarily a shortest one: RunParallel does not preserve BFS
-// level order, so a state's recorded parent may be deeper than its
-// shallowest one. Under RunLevels the states new to a level's commit form
-// the next level, so every parent is one level up (two for a Deferred
-// entry) and the trace is a shortest one.
+// state, so the walk terminates at the root; the result is a valid run.
+// Under RunLevels the states new to a level's commit form the next level,
+// so every parent is one level up (two for a Deferred entry) and the
+// trace is a shortest one.
 func (s *Sharded) Trace(id int64) []Step {
 	var rev []Step
 	for id >= 0 {

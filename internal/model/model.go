@@ -32,9 +32,9 @@
 // modes: state-tso over the full machine (NewTSO), and tso, the
 // polynomial instrumented checker (tsoattack.go), over the lazy
 // single-delayer machine (NewTSOLazy). The RA and SRA adapters wrap the
-// one step enumeration of memra.Machine, which staterobust's
-// work-sharing RA explorer (the production path of state-ra and
-// state-sra) drives too; they are pinned equal to it by parity tests.
+// one step enumeration of memra.Machine, which staterobust's sequential
+// RA/SRA oracle (the production path of state-ra and state-sra) drives
+// too; they are pinned equal to it by parity tests.
 package model
 
 import (

@@ -38,12 +38,16 @@ func oracleCheckTSO(program *lang.Program, lim staterobust.Limits) (*staterobust
 	res := &staterobust.Result{Robust: true, SCStates: scSet.Len()}
 
 	type node struct {
+		id int32
 		ps prog.State
 		m  *memtso.State
 	}
 	ps0 := p.InitStateRaw()
 	store := explore.NewStore()
-	var queue explore.Queue[node]
+	// queue is the FIFO frontier: queue[head:] waits, and popped slots are
+	// zeroed so that expanded states can be collected.
+	var queue []node
+	head := 0
 	// key encodes into a reused buffer; the store interns the bytes in its
 	// arena, so no per-Add string materialization is needed.
 	var buf []byte
@@ -69,17 +73,16 @@ func oracleCheckTSO(program *lang.Program, lim staterobust.Limits) (*staterobust
 		return false
 	}
 	root, _ := store.AddBytes(key(ps0, memtso.New(program.NumLocs(), program.NumThreads())), -1, explore.Step{})
-	queue.Push(root, node{ps0, memtso.New(program.NumLocs(), program.NumThreads())})
+	queue = append(queue, node{root, ps0, memtso.New(program.NumLocs(), program.NumThreads())})
 	if check(root, ps0) {
 		res.Explored = store.Len()
 		return res, nil
 	}
 	popped := 0
-	for {
-		item, ok := queue.Pop()
-		if !ok {
-			break
-		}
+	for head < len(queue) {
+		n := queue[head]
+		queue[head] = node{}
+		head++
 		if store.Len() > lim.StateBound() {
 			return nil, explore.ErrBound
 		}
@@ -90,7 +93,6 @@ func oracleCheckTSO(program *lang.Program, lim staterobust.Limits) (*staterobust
 		if lim.Progress != nil && popped%4096 == 0 {
 			lim.Progress(store.Len())
 		}
-		n := item.St
 		// Program actions (ε-granular, see ReachableSC).
 		for t := range p.Threads {
 			th := &p.Threads[t]
@@ -106,7 +108,7 @@ func oracleCheckTSO(program *lang.Program, lim staterobust.Limits) (*staterobust
 				}
 				nextPS := n.ps.Clone()
 				nextPS.Threads[t] = nextTS
-				id, isNew := store.AddBytes(key(nextPS, n.m), item.ID,
+				id, isNew := store.AddBytes(key(nextPS, n.m), n.id,
 					explore.Step{Tid: tid, Internal: explore.IntEps})
 				if isNew {
 					if check(id, nextPS) {
@@ -114,7 +116,7 @@ func oracleCheckTSO(program *lang.Program, lim staterobust.Limits) (*staterobust
 						res.WeakStates = weak.Len()
 						return res, nil
 					}
-					queue.Push(id, node{nextPS, n.m.Clone()})
+					queue = append(queue, node{id, nextPS, n.m.Clone()})
 				}
 				continue
 			}
@@ -155,14 +157,14 @@ func oracleCheckTSO(program *lang.Program, lim staterobust.Limits) (*staterobust
 			case lang.LRMW:
 				nextM.RMW(tid, label.Loc, label.VR, label.VW)
 			}
-			id, isNew := store.AddBytes(key(nextPS, nextM), item.ID, explore.Step{Tid: tid, Lab: label})
+			id, isNew := store.AddBytes(key(nextPS, nextM), n.id, explore.Step{Tid: tid, Lab: label})
 			if isNew {
 				if check(id, nextPS) {
 					res.Explored = store.Len()
 					res.WeakStates = weak.Len()
 					return res, nil
 				}
-				queue.Push(id, node{nextPS, nextM})
+				queue = append(queue, node{id, nextPS, nextM})
 			}
 		}
 		// Internal flush actions.
@@ -173,10 +175,10 @@ func oracleCheckTSO(program *lang.Program, lim staterobust.Limits) (*staterobust
 			}
 			nextM := n.m.Clone()
 			nextM.Flush(tid)
-			id, isNew := store.AddBytes(key(n.ps, nextM), item.ID,
+			id, isNew := store.AddBytes(key(n.ps, nextM), n.id,
 				explore.Step{Tid: tid, Internal: explore.IntFlush})
 			if isNew {
-				queue.Push(id, node{n.ps.Clone(), nextM})
+				queue = append(queue, node{id, n.ps.Clone(), nextM})
 			}
 		}
 	}

@@ -404,17 +404,27 @@ func TestDrainGraceful(t *testing.T) {
 		drained <- srv.Drain(ctx)
 	}()
 
-	// New work is rejected as soon as draining begins.
+	// Once the server reports draining, new work is rejected. The probe
+	// waits for that report rather than submitting early: a submission
+	// that won the race against Drain would be queued, and its cached
+	// verdict would answer every later probe with 200.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, _ := postJSON(t, ts.URL, service.VerifyRequest{Source: corpusSource(t, "SB")})
+		resp, err := http.Get(ts.URL + "/v1/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("submissions still accepted while draining")
+			t.Fatal("server never reported draining")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if resp, body := postJSON(t, ts.URL, service.VerifyRequest{Source: corpusSource(t, "SB")}); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submission while draining: code %d (%s), want 503", resp.StatusCode, body)
 	}
 
 	if err := <-drained; err != nil {

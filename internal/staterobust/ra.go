@@ -1,21 +1,21 @@
 package staterobust
 
 import (
-	"sync"
-
 	"repro/internal/explore"
 	"repro/internal/lang"
 	"repro/internal/memra"
 	"repro/internal/prog"
 )
 
-// RAHeadroom derives the default write-slot headroom for the RA/SRA
-// machines (exported for the internal/model adapters, which must
-// enumerate exactly checkWeakRA's candidates): one more than the
-// number of write instructions in the program (every write instruction can
-// execute at most once per... conservatively, this is exact for programs
-// whose runs perform at most that many writes per location; for loopy
-// programs the exploration is additionally guarded by the state bound).
+// RAHeadroom returns the write-slot headroom of the RA/SRA machines for
+// the program: lim.RAHeadroom when set, else two more than the number of
+// write instructions (writes and RMWs), at most 12. Below the cap the
+// derived value is exact for programs whose runs execute each write
+// instruction at most once (a canonical gap must absorb every write still
+// to come, see memra's package comment); for loopy programs the state
+// bound guards the exploration, and the cap keeps branching bounded. Every
+// user of the RA machine derives its headroom here, so that the model
+// adapters, the state checkers and diffcheck's fenced mutants agree.
 func RAHeadroom(program *lang.Program, lim Limits) int {
 	if lim.RAHeadroom > 0 {
 		return lim.RAHeadroom
@@ -29,10 +29,7 @@ func RAHeadroom(program *lang.Program, lim Limits) int {
 			}
 		}
 	}
-	if n > 12 {
-		n = 12 // keep branching bounded; the state bound guards precision
-	}
-	return n
+	return min(n, 12)
 }
 
 // CheckRA decides state robustness of the program against RA by exploring
@@ -53,42 +50,6 @@ func CheckSRA(program *lang.Program, lim Limits) (*Result, error) {
 	return checkWeakRA(program, lim, true)
 }
 
-// raScratch is the per-worker expansion state of checkWeakRA: the encode
-// buffer, the transition buffer for memra.Machine.AppendSteps, and
-// free lists of product states. Successor states are drawn from the pools
-// (CopyFrom into recycled storage) instead of cloned, and return to the
-// expanding worker's pool when the store reports a duplicate or when their
-// node has been fully expanded; a state pushed by one worker and expanded
-// by another simply migrates pools, with the engine's batch hand-off lock
-// providing the happens-before edge.
-type raScratch struct {
-	buf    []byte
-	trans  []memra.Trans
-	psPool []prog.State
-	mPool  []*memra.State
-	pj     *Projector
-}
-
-func (ws *raScratch) takePS(from prog.State) prog.State {
-	if n := len(ws.psPool); n > 0 {
-		ps := ws.psPool[n-1]
-		ws.psPool = ws.psPool[:n-1]
-		ps.CopyFrom(from)
-		return ps
-	}
-	return from.Clone()
-}
-
-func (ws *raScratch) takeM(from *memra.State) *memra.State {
-	if n := len(ws.mPool); n > 0 {
-		m := ws.mPool[n-1]
-		ws.mPool = ws.mPool[:n-1]
-		m.CopyFrom(from)
-		return m
-	}
-	return from.Clone()
-}
-
 // checkWeakRA compares the program states reachable under the RA (sra:
 // SRA) timestamp machine against ReachableSC.
 func checkWeakRA(program *lang.Program, lim Limits, sra bool) (*Result, error) {
@@ -100,19 +61,24 @@ func checkWeakRA(program *lang.Program, lim Limits, sra bool) (*Result, error) {
 	return res, err
 }
 
+// raBatch is the size of exploreRA's frontier batches.
+const raBatch = 64
+
 // exploreRA explores the product of the program with the RA (sra: SRA)
 // timestamp machine and returns the set of program-state projections it
 // reaches (Projector.Key). Given an SC-reachable set scSet, it stops at
 // the first projection outside it and reports it as the Result's
 // witness; with scSet nil it explores everything.
 //
-// It runs on the shared parallel engine (explore.RunParallel over an
-// explore.Sharded visited set): frontier items carry the decoded product
-// state ⟨program state, RA memory⟩, workers share the read-only compiled
-// program and SC-reachable set, and the weak program-state set is the
-// only mutable shared structure beyond the store (a concurrent
-// explore.Set, touched once per new compound state). Each worker folds
-// projections under symmetry with its own Projector.
+// It is a sequential oracle, not a decider (the machine is
+// infinite-state), so it runs on one goroutine over an explore.Store,
+// whatever lim.Workers says; its results do not depend on it. The
+// frontier is a stack of batches of up to raBatch states: the loop
+// expands the newest batch in order, filing the new successors into
+// fresh batches on top of the stack. Product states ⟨program state, RA
+// memory⟩ travel with their ids and are drawn from free lists (CopyFrom
+// into recycled storage) rather than cloned: a duplicate successor's
+// states, and an expanded node's, go back to them.
 func exploreRA(program *lang.Program, lim Limits, sra bool, scSet *explore.Set) (*Result, *explore.Set, error) {
 	p := prog.New(program)
 	res := &Result{Robust: true}
@@ -120,88 +86,80 @@ func exploreRA(program *lang.Program, lim Limits, sra bool, scSet *explore.Set) 
 		res.SCStates = scSet.Len()
 	}
 	mc := memra.Machine{SRA: sra, Headroom: RAHeadroom(program, lim), ValCount: program.ValCount}
+	store, weak, pj := explore.NewStore(), explore.NewSet(), NewProjector(p, lim)
 
 	type node struct {
+		id int32
 		ps prog.State
 		m  *memra.State
 	}
-	store := explore.NewSharded(false)
-	scratches := make([]*raScratch, lim.WorkerCount())
-	for w := range scratches {
-		scratches[w] = &raScratch{buf: make([]byte, 0, 64), pj: NewProjector(p, lim)}
-	}
-	key := func(ws *raScratch, ps prog.State, m *memra.State) []byte {
-		buf := ws.buf[:0]
-		buf = p.EncodeStateRaw(buf, ps)
-		buf = m.Encode(buf)
-		ws.buf = buf
-		return buf
-	}
-
 	var (
-		mu        sync.Mutex
-		weak      = explore.NewSet()
-		witnessID = int64(-1)
-		bound     bool
+		buf    []byte
+		trans  []memra.Trans
+		psPool []prog.State
+		mPool  []*memra.State
+		stack  [][]node // the frontier's batches, newest last
+		free   [][]node // retired batch buffers
+		out    []node   // the batch being filled
 	)
-	// check records the program state of a newly interned compound state
-	// (whose key is still in ws.buf) and reports whether it witnesses
-	// non-robustness (reachable weakly but not under SC).
-	check := func(ws *raScratch, id int64) bool {
-		pk := ws.pj.Key(ws.buf)
-		if _, isNew := weak.Add(pk); !isNew || scSet == nil || scSet.Has(pk) {
-			return false
+	takePS := func(from prog.State) prog.State {
+		if n := len(psPool); n > 0 {
+			ps := psPool[n-1]
+			psPool = psPool[:n-1]
+			ps.CopyFrom(from)
+			return ps
 		}
-		mu.Lock()
-		if witnessID < 0 {
-			witnessID = id
+		return from.Clone()
+	}
+	takeM := func(from *memra.State) *memra.State {
+		if n := len(mPool); n > 0 {
+			m := mPool[n-1]
+			mPool = mPool[:n-1]
+			m.CopyFrom(from)
+			return m
 		}
-		mu.Unlock()
-		return true
+		return from.Clone()
+	}
+	newBatch := func() []node {
+		if n := len(free); n > 0 {
+			b := free[n-1]
+			free = free[:n-1]
+			return b
+		}
+		return make([]node, 0, raBatch)
+	}
+	push := func(n node) {
+		if out == nil {
+			out = newBatch()
+		}
+		out = append(out, n)
+		if len(out) == raBatch {
+			stack, out = append(stack, out), nil
+		}
+	}
+	// add interns ⟨ps, m⟩, reached from parent by step, and reports
+	// whether it is new. A new state's projection joins weak, and when it
+	// is not SC-reachable the state is the witness.
+	witness := int32(-1)
+	add := func(ps prog.State, m *memra.State, parent int32, step explore.Step) (int32, bool) {
+		buf = m.Encode(p.EncodeStateRaw(buf[:0], ps))
+		id, isNew := store.AddBytes(buf, parent, step)
+		if !isNew {
+			return id, false
+		}
+		pk := pj.Key(buf)
+		if _, isNew := weak.Add(pk); isNew && scSet != nil && !scSet.Has(pk) {
+			witness = id
+		}
+		return id, true
 	}
 
 	ps0 := p.InitStateRaw()
 	m0 := memra.New(program.NumLocs(), program.NumThreads())
-	rootID, _ := store.Add(key(scratches[0], ps0, m0), -1, explore.Step{})
-	if check(scratches[0], rootID) {
-		res.Robust = false
-		res.WitnessTrace = store.Trace(rootID)
-		res.Explored = store.Len()
-		res.WeakStates = weak.Len()
-		return res, weak, nil
-	}
-
-	expand := func(w int, it explore.Item[node], push func(explore.Item[node])) bool {
-		if store.Len() > lim.StateBound() {
-			mu.Lock()
-			bound = true
-			mu.Unlock()
-			return false
-		}
-		ws := scratches[w]
-		n := it.St
-		// emit interns the successor reached by thread t taking RA
-		// transition tr, applied into pooled states; it reports whether
-		// the successor witnesses non-robustness. Duplicates return their
-		// states to the worker's free lists.
-		emit := func(t int, tr memra.Trans) bool {
-			nextM := ws.takeM(n.m)
-			nextM.Apply(lang.Tid(t), tr)
-			mc.Canon(nextM)
-			nextPS := ws.takePS(n.ps)
-			p.Threads[t].ApplyRawInto(n.ps.Threads[t], tr.Lab, &nextPS.Threads[t])
-			id, isNew := store.Add(key(ws, nextPS, nextM), it.ID, explore.Step{Tid: lang.Tid(t), Lab: tr.Lab})
-			if !isNew {
-				ws.psPool = append(ws.psPool, nextPS)
-				ws.mPool = append(ws.mPool, nextM)
-				return false
-			}
-			if check(ws, id) {
-				return true
-			}
-			push(explore.Item[node]{ID: id, St: node{nextPS, nextM}})
-			return false
-		}
+	root, _ := add(ps0, m0, -1, explore.Step{})
+	push(node{root, ps0, m0})
+	// expand files the successors of n, stopping at the witness.
+	expand := func(n node) {
 		for t := range p.Threads {
 			th := &p.Threads[t]
 			ts := n.ps.Threads[t]
@@ -210,37 +168,67 @@ func exploreRA(program *lang.Program, lim Limits, sra bool, scSet *explore.Set) 
 				continue
 			}
 			if th.AtEps(ts) {
-				nextPS := ws.takePS(n.ps)
+				nextPS := takePS(n.ps)
 				if afail := th.StepEpsInto(ts, &nextPS.Threads[t]); afail != nil {
-					ws.psPool = append(ws.psPool, nextPS)
+					psPool = append(psPool, nextPS)
 					continue
 				}
-				id, isNew := store.Add(key(ws, nextPS, n.m), it.ID,
-					explore.Step{Tid: tid, Internal: explore.IntEps})
-				if !isNew {
-					ws.psPool = append(ws.psPool, nextPS)
-					continue
+				id, isNew := add(nextPS, n.m, n.id, explore.Step{Tid: tid, Internal: explore.IntEps})
+				switch {
+				case !isNew:
+					psPool = append(psPool, nextPS)
+				case witness >= 0:
+					return
+				default:
+					push(node{id, nextPS, takeM(n.m)})
 				}
-				if check(ws, id) {
-					return false
-				}
-				push(explore.Item[node]{ID: id, St: node{nextPS, ws.takeM(n.m)}})
 				continue
 			}
-			ws.trans = mc.AppendSteps(ws.trans[:0], n.m, tid, th.Op(ts))
-			for _, tr := range ws.trans {
-				if emit(t, tr) {
-					return false
+			trans = mc.AppendSteps(trans[:0], n.m, tid, th.Op(ts))
+			for _, tr := range trans {
+				nextM := takeM(n.m)
+				nextM.Apply(tid, tr)
+				mc.Canon(nextM)
+				nextPS := takePS(n.ps)
+				th.ApplyRawInto(ts, tr.Lab, &nextPS.Threads[t])
+				id, isNew := add(nextPS, nextM, n.id, explore.Step{Tid: tid, Lab: tr.Lab})
+				switch {
+				case !isNew:
+					psPool, mPool = append(psPool, nextPS), append(mPool, nextM)
+				case witness >= 0:
+					return
+				default:
+					push(node{id, nextPS, nextM})
 				}
 			}
 		}
-		// The node is fully expanded; its states feed the free lists.
-		ws.psPool = append(ws.psPool, n.ps)
-		ws.mPool = append(ws.mPool, n.m)
-		return true
+		psPool, mPool = append(psPool, n.ps), append(mPool, n.m)
 	}
-
-	explore.RunParallelOpts(len(scratches), []explore.Item[node]{{ID: rootID, St: node{ps0, m0}}}, expand, lim.RunOpts(store.Len))
+	bound, expanded := false, 0
+	for witness < 0 && !bound {
+		if out != nil {
+			stack, out = append(stack, out), nil
+		}
+		if len(stack) == 0 || lim.Err() != nil {
+			break
+		}
+		batch := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, n := range batch {
+			if bound = store.Len() > lim.StateBound(); bound {
+				break
+			}
+			if expand(n); witness >= 0 {
+				break
+			}
+		}
+		// Drop the payload references before the buffer is reused.
+		clear(batch)
+		free = append(free, batch[:0])
+		if expanded += len(batch); lim.Progress != nil && expanded/progressEvery != (expanded-len(batch))/progressEvery {
+			lim.Progress(store.Len())
+		}
+	}
 	if err := lim.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -249,9 +237,9 @@ func exploreRA(program *lang.Program, lim Limits, sra bool, scSet *explore.Set) 
 	if bound {
 		return nil, nil, explore.ErrBound
 	}
-	if witnessID >= 0 {
+	if witness >= 0 {
 		res.Robust = false
-		res.WitnessTrace = store.Trace(witnessID)
+		res.WitnessTrace = store.Trace(witness)
 	}
 	return res, weak, nil
 }

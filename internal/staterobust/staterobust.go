@@ -38,19 +38,15 @@ type Limits struct {
 	// write instructions + 2), which is exact for programs whose loops do
 	// not grow the write count beyond it (see memra's package comment).
 	RAHeadroom int
-	// Workers sets the number of parallel exploration workers of every
-	// state checker — ReachableSC, CheckRA/CheckSRA's weak products, and
-	// model.CheckState, which answers both TSO modes and explores their
-	// SC backbone inside its product: 0 uses GOMAXPROCS, 1 explores
-	// sequentially. Verdicts and full-run state counts are
-	// worker-count-independent, and so is everything the level-complete
-	// checkers (ReachableSC, model.CheckState) report on non-robust
-	// programs. CheckRA/CheckSRA stop at the first violation any worker
-	// finds, so their witness and non-robust counts may vary, and so may
-	// whether a run that nears MaxStates finds a violation first or
-	// reports ErrBound: at MaxStates 2M, state-ra answers bound on
-	// cilk-the-wsq-sc and chase-lev-tso at 1 worker and non-robust at 2,
-	// and lamport2-sc either way at 2.
+	// Workers sets the number of parallel exploration workers of the
+	// level-synchronous state checkers — ReachableSC (so also CheckRA and
+	// CheckSRA's SC side) and model.CheckState, which answers both TSO
+	// modes and explores their SC backbone inside its product: 0 uses
+	// GOMAXPROCS, 1 explores sequentially. CheckRA and CheckSRA explore
+	// their weak products on one goroutine whatever it says. Everything
+	// the checkers report — verdicts, state counts, witnesses, and
+	// whether a run that nears MaxStates reports ErrBound — is
+	// worker-count-independent.
 	Workers int
 	// Ctx, when non-nil, cancels the exploration cooperatively (polled
 	// every few hundred expansions at most): a cancelled run returns
@@ -111,7 +107,7 @@ func (l Limits) Err() error {
 	return fmt.Errorf("%w: %w", explore.ErrCanceled, context.Cause(l.Ctx))
 }
 
-// RunOpts returns the parallel engines' options for these limits: the
+// RunOpts returns explore.RunLevels' options for these limits: the
 // context, and Progress reporting explored() every progressEvery
 // expansions.
 func (l Limits) RunOpts(explored func() int) explore.RunOpts {
