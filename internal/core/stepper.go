@@ -16,12 +16,14 @@ import (
 // per-state checks report for the program.
 //
 // A Stepper is reused across replays with Reset; after construction it
-// steps without heap allocation.
+// steps without heap allocation. It reads the program's instructions as
+// they are at each step and Reset, so a caller may rewrite an instruction
+// in place between replays when the rewrite keeps every location,
+// register count and critical value (internal/fence switches repair
+// sites this way).
 type Stepper struct {
 	v        *verifier
 	valCount int
-	init     prog.State
-	initFail *prog.AssertFailure
 	cur, nxt prog.State
 	ms       *scm.State
 	ops      []prog.MemOp
@@ -35,8 +37,7 @@ func NewStepper(program *lang.Program, opts Options) (*Stepper, error) {
 		return nil, err
 	}
 	s := &Stepper{v: v, valCount: program.ValCount, ms: v.mon.Init()}
-	s.init, s.initFail = v.p.InitState()
-	s.cur, s.nxt = s.init.Clone(), s.init.Clone()
+	s.cur, s.nxt = v.p.InitStateRaw(), v.p.InitStateRaw()
 	s.ops = make([]prog.MemOp, len(v.p.Threads))
 	s.Reset()
 	return s, nil
@@ -46,10 +47,9 @@ func NewStepper(program *lang.Program, opts Options) (*Stepper, error) {
 // assertion when the initial ε-closure already fails one; the stepper
 // then has no state to step from.
 func (s *Stepper) Reset() *prog.AssertFailure {
-	if s.initFail != nil {
-		return s.initFail
+	if fail := s.v.p.InitStateInto(s.cur); fail != nil {
+		return fail
 	}
-	s.cur.CopyFrom(s.init)
 	s.v.mon.Reset(s.ms)
 	s.v.p.OpsInto(s.ops, s.cur)
 	return nil

@@ -58,9 +58,10 @@
 //     for the instrumented TSO route (model.ReplayTSO).
 //   - Witness refutation (internal/fence): fence.Enforce skips the
 //     oracle on a candidate repair when a cached witness replays to a
-//     violation of it. On a single-fence mutant of every non-robust
-//     input, such a refutation must agree with the oracle's verdict on
-//     the mutant.
+//     violation of it on the search's shared replay machine, with the
+//     candidate's sites switched on. On a single-fence mutant of every
+//     non-robust input, such a refutation (fence.Refutes, on the same
+//     machine) must agree with the oracle's verdict on the mutant.
 //   - Syntax: Parse∘Format is a fixpoint and preserves the canonical
 //     digest, so the pretty-printer can never corrupt a program.
 //

@@ -21,19 +21,52 @@
 // non-robust leaves a witness: the thread schedule of its counterexample
 // trace, in the original program's numbering with the inserted fence
 // steps removed. Before a candidate goes to the oracle, the cached
-// witnesses are replayed on it with a core.Stepper (each thread runs the
-// fences it reaches, and pending fences are flushed at the end); on the
-// corpus, replay refutes all but a few dozen of the thousands of
-// candidates a search visits.
+// witnesses are replayed on it (each thread runs the fences it reaches,
+// and pending fences are flushed at the end); on the corpus, replay
+// refutes all but a few dozen of the thousands of candidates a search
+// visits.
+//
+// The replays run on one machine per search. Once the input is found
+// non-robust, every candidate move is applied at once and one
+// core.Stepper is built on the result. Each move is a site, one
+// instruction of that shared program, and every site starts switched
+// off: an off fence is the ε instruction `scratch := 0`, an off
+// strengthening the original write. A candidate switches its own sites
+// on (the FADD or XCHG that Apply would write) while its witnesses
+// replay, and back off on every return, so a refuted candidate costs no
+// Apply, no validation, no prog.New and no monitor. Only the candidates
+// that survive replay are built with Apply and sent to core.Verify; a
+// non-robust one's witness is read off the shared machine with its
+// sites on.
 //
 // The soundness rule: a replay refutes the candidate only when it reaches
-// a state of the candidate's instrumented SC machine — built exactly as
-// the oracle builds it — where the oracle's own per-state checks report a
-// violation; the oracle would then report one too. Any other outcome (a
-// blocked or terminated thread, a failing assertion, a schedule that ends
-// without a violation) leaves the candidate to the oracle. Every robust
-// answer therefore still comes from core.Verify, and the placements
-// returned are the ones the exhaustive search returns.
+// a state where the oracle's own per-state checks, on a monitor built as
+// the oracle builds it, report a violation; the oracle would then report
+// one too. Any other outcome (a blocked or terminated thread, a failing
+// assertion, a schedule that ends without a violation) leaves the
+// candidate to the oracle. Every robust answer therefore still comes
+// from core.Verify, and the placements returned are the ones the
+// exhaustive search returns. The shared machine keeps the rule for three
+// reasons:
+//
+//   - Same states. The scratch register is never read, so `scratch :=
+//     0`, an FADD or an XCHG into it leaves every other register's
+//     liveness unchanged, and prog.Thread interprets lang.Inst directly,
+//     so a rewritten site needs no recompiling. An off site is a
+//     thread-local ε step, which the ε-closure (initial state included)
+//     steps over before any check: a schedule yields the same labels,
+//     pending operations and monitor states on the shared machine as on
+//     Apply(p, P) for the candidate P.
+//   - Same monitor shape. The shared monitor has the candidate's threads,
+//     ValCount, non-atomic flags and critical sets: prog.CriticalVals
+//     marks only wait, CAS and BCAS operands, which Apply never adds.
+//     Under Mixed, a candidate of strengthenings only lacks the fence
+//     location; the shared machine's plane for it is never touched, and
+//     planes are independent (scm.Monitor.Tracked).
+//   - No StaticPrune. The shared monitor is built unpruned whatever the
+//     options say. A violation of the unpruned monitor at an SC-reachable
+//     state means the candidate is not robust, and pruning is
+//     verdict-exact, so the pruned oracle agrees.
 //
 // One behaviour differs from verifying every candidate: a candidate
 // refuted by replay is never explored, so it cannot fail with
@@ -119,86 +152,91 @@ var ErrNotEnforceable = fmt.Errorf("fence: no repair within the bound enforces r
 // executes the fence first (a fence inside a loop runs every iteration).
 // Strengthened writes keep their position and targets.
 func Apply(p *lang.Program, placements []Placement) *lang.Program {
-	return applyInto(&lang.Program{}, p, placements)
+	out, _ := apply(p, placements)
+	return out
 }
 
-// applyInto is Apply writing the strengthened program into dst, reusing
-// its slices: the search builds every candidate in one scratch program.
-func applyInto(dst, p *lang.Program, placements []Placement) *lang.Program {
-	out := dst
-	out.Name = p.Name
-	out.ValCount = p.ValCount
-	out.Locs = append(out.Locs[:0], p.Locs...)
-	if cap(out.Threads) < len(p.Threads) {
-		out.Threads = make([]lang.SeqProg, len(p.Threads))
+// apply is Apply that also returns where each placement landed: the
+// index in its thread of the inserted fence or the strengthened write.
+func apply(p *lang.Program, placements []Placement) (*lang.Program, []int) {
+	out := &lang.Program{
+		Name:     p.Name,
+		ValCount: p.ValCount,
+		Locs:     slices.Clone(p.Locs),
+		Threads:  make([]lang.SeqProg, len(p.Threads)),
 	}
-	out.Threads = out.Threads[:len(p.Threads)]
+	at := make([]int, len(placements))
 	fl, haveFence := p.LocByName(parser.FenceLoc)
 	for ti := range p.Threads {
 		src := &p.Threads[ti]
 		tid := lang.Tid(ti)
 		n := len(src.Insts)
-		nFences := countIn(placements, InsertFence, tid, 0, n)
-		modified := nFences > 0 || countIn(placements, StrengthenWrite, tid, 0, n) > 0
+		// shift[pc] counts the fences placed before instructions < pc.
+		shift := make([]int, n+1)
+		modified := false
+		for _, pl := range placements {
+			if pl.Tid == tid {
+				modified = true
+				if pl.Kind == InsertFence {
+					shift[pl.At+1]++
+				}
+			}
+		}
+		for pc := range n {
+			shift[pc+1] += shift[pc]
+		}
 		t := &out.Threads[ti]
 		t.Name = src.Name
 		t.NumRegs = src.NumRegs
-		t.RegNames = append(t.RegNames[:0], src.RegNames...)
-		t.Insts = slices.Grow(t.Insts[:0], n+nFences)
+		t.RegNames = slices.Clone(src.RegNames)
+		t.Insts = make([]lang.Inst, 0, n+shift[n])
 		var scratch lang.Reg
 		if modified {
 			scratch = lang.Reg(t.NumRegs)
 			t.NumRegs++
 			t.RegNames = append(t.RegNames, "__fr")
 		}
-		if nFences > 0 && !haveFence {
+		if shift[n] > 0 && !haveFence {
 			haveFence = true
 			fl = lang.Loc(len(out.Locs))
 			out.Locs = append(out.Locs, lang.LocInfo{Name: parser.FenceLoc})
 		}
-		for pc := range src.Insts {
-			for i := countIn(placements, InsertFence, tid, pc, pc+1); i > 0; i-- {
-				t.Insts = append(t.Insts, lang.Inst{
-					Kind: lang.IFADD,
-					Reg:  scratch,
-					Mem:  lang.MemRef{Base: fl, Size: 1},
-					E:    lang.Const(0),
-					Line: src.Insts[pc].Line,
-				})
-			}
-			in := src.Insts[pc]
+		for pc, in := range src.Insts {
 			if in.Kind == lang.IGoto {
-				in.Target += countIn(placements, InsertFence, tid, 0, in.Target)
+				in.Target += shift[max(0, min(in.Target, n))]
 			}
-			if countIn(placements, StrengthenWrite, tid, pc, pc+1) > 0 {
-				if in.Kind != lang.IWrite {
+			// The instruction itself lands after the fences placed
+			// before it.
+			self := len(t.Insts) + shift[pc+1] - shift[pc]
+			for i, pl := range placements {
+				switch {
+				case pl.Tid != tid || pl.At != pc:
+				case pl.Kind == InsertFence:
+					at[i] = len(t.Insts)
+					t.Insts = append(t.Insts, lang.Inst{
+						Kind: lang.IFADD,
+						Reg:  scratch,
+						Mem:  lang.MemRef{Base: fl, Size: 1},
+						E:    lang.Const(0),
+						Line: in.Line,
+					})
+				case src.Insts[pc].Kind != lang.IWrite:
 					panic("fence: StrengthenWrite on a non-write instruction")
-				}
-				in = lang.Inst{
-					Kind: lang.IXCHG,
-					Reg:  scratch,
-					Mem:  in.Mem,
-					E:    in.E,
-					Line: in.Line,
+				default:
+					at[i] = self
+					in = lang.Inst{
+						Kind: lang.IXCHG,
+						Reg:  scratch,
+						Mem:  in.Mem,
+						E:    in.E,
+						Line: in.Line,
+					}
 				}
 			}
 			t.Insts = append(t.Insts, in)
 		}
 	}
-	return out
-}
-
-// countIn returns the number of placements of the given kind in thread
-// tid at instructions lo ≤ At < hi. Repair sets are small (MaxRepairs),
-// so Apply scans them instead of building per-thread index maps.
-func countIn(placements []Placement, kind RepairKind, tid lang.Tid, lo, hi int) int {
-	n := 0
-	for _, pl := range placements {
-		if pl.Kind == kind && pl.Tid == tid && lo <= pl.At && pl.At < hi {
-			n++
-		}
-	}
-	return n
+	return out, at
 }
 
 // candidates returns the repair moves the strategy admits: fences before
@@ -238,34 +276,25 @@ func Enforce(p *lang.Program, opts Options) ([]Placement, *lang.Program, error) 
 		opts.MaxRepairs = 4
 	}
 	s := &search{p: p, opts: verifyOptions(opts.Verify)}
-	q := &lang.Program{}
-	if ok, err := s.robust(p); err != nil {
+	v, err := s.verify(p)
+	if err != nil {
 		return nil, nil, err
-	} else if ok {
+	}
+	if v.Robust {
 		return nil, p, nil
 	}
-	cands := candidates(p, opts.Strategy)
+	s.cands = candidates(p, opts.Strategy)
+	if s.m, err = newMachine(p, s.cands, s.opts); err != nil {
+		return nil, nil, err
+	}
+	s.witness = [][]lang.Tid{s.m.schedule(v.Trace)}
 	pick := make([]int, 0, opts.MaxRepairs)
-	pls := make([]Placement, 0, opts.MaxRepairs)
 	var try func(size, from int) ([]Placement, *lang.Program, error)
 	try = func(size, from int) ([]Placement, *lang.Program, error) {
 		if size == 0 {
-			pls = pls[:0]
-			for _, ci := range pick {
-				pls = append(pls, cands[ci])
-			}
-			// Candidates are built in one scratch program; the robust
-			// one ends the search and is returned.
-			ok, err := s.robust(applyInto(q, p, pls))
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				return pls, q, nil
-			}
-			return nil, nil, nil
+			return s.robust(pick)
 		}
-		for ci := from; ci < len(cands); ci++ {
+		for ci := from; ci < len(s.cands); ci++ {
 			pick = append(pick, ci)
 			found, fixed, err := try(size-1, ci+1)
 			pick = pick[:len(pick)-1]
@@ -301,158 +330,242 @@ func verifyOptions(v core.Options) core.Options {
 	return v
 }
 
-// onRefute, when non-nil, is called with every candidate a cached witness
-// refutes, before the search reuses its storage (tests confirm each
-// against the oracle).
-var onRefute func(q *lang.Program)
+// onReplay, when non-nil, is called after the cached witnesses were
+// replayed on a candidate, with the witnesses in the order replayed and
+// whether one refuted the candidate (tests confirm refutations against
+// the oracle and against a replay on the candidate's own program).
+var onReplay func(pls []Placement, witness [][]lang.Tid, refuted bool)
 
 // search is the state of one Enforce run: the original program, the
-// oracle configuration, and the witness cache — one thread schedule per
+// oracle configuration, the candidate moves with the replay machine that
+// holds them all, and the witness cache — one thread schedule per
 // candidate the oracle found non-robust, in the original program's
 // numbering with inserted fence steps removed, most recently useful
 // first.
 type search struct {
 	p       *lang.Program
 	opts    core.Options
+	cands   []Placement
+	m       *machine
 	witness [][]lang.Tid
 }
 
-// robust decides whether the candidate q (p itself, or Apply of a repair
-// set to p) is robust: false when a cached witness replays to a violation
-// of q, otherwise the oracle's answer.
-func (s *search) robust(q *lang.Program) (bool, error) {
+// canceled returns an error wrapping core.ErrCanceled once the search's
+// context is done, and nil before.
+func (s *search) canceled() error {
 	if ctx := s.opts.Ctx; ctx != nil && ctx.Err() != nil {
-		return false, fmt.Errorf("%w: %w", explore.ErrCanceled, context.Cause(ctx))
+		return fmt.Errorf("%w: %w", explore.ErrCanceled, context.Cause(ctx))
 	}
-	c, err := newCandidate(s.p, q, s.opts)
-	if err != nil {
-		return false, err
-	}
-	for i, w := range s.witness {
-		if c.refutes(w) {
-			copy(s.witness[1:i+1], s.witness[:i])
-			s.witness[0] = w
-			if onRefute != nil {
-				onRefute(q)
-			}
-			return false, nil
-		}
+	return nil
+}
+
+// verify polls the context and runs the oracle on q.
+func (s *search) verify(q *lang.Program) (*core.Verdict, error) {
+	if err := s.canceled(); err != nil {
+		return nil, err
 	}
 	v, err := core.Verify(q, s.opts)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if v.AssertFail != nil {
-		return false, fmt.Errorf("fence: program has a failing assertion under SC")
+		return nil, fmt.Errorf("fence: program has a failing assertion under SC")
+	}
+	return v, nil
+}
+
+// robust decides the candidate made of the moves pick: nil when a cached
+// witness replays to a violation with its sites switched on, otherwise
+// the oracle's answer on Apply of its placements — those placements and
+// the repaired program when it is robust. The sites are switched back
+// off on every return.
+func (s *search) robust(pick []int) ([]Placement, *lang.Program, error) {
+	if err := s.canceled(); err != nil {
+		return nil, nil, err
+	}
+	s.m.set(pick, true)
+	defer s.m.set(pick, false)
+	for i, w := range s.witness {
+		if s.m.refutes(w) {
+			if onReplay != nil {
+				onReplay(s.placements(pick), s.witness, true)
+			}
+			copy(s.witness[1:i+1], s.witness[:i])
+			s.witness[0] = w
+			return nil, nil, nil
+		}
+	}
+	pls := s.placements(pick)
+	if onReplay != nil {
+		onReplay(pls, s.witness, false)
+	}
+	q := Apply(s.p, pls)
+	v, err := s.verify(q)
+	if err != nil {
+		return nil, nil, err
 	}
 	if !v.Robust {
-		s.witness = slices.Insert(s.witness, 0, c.schedule(v.Trace))
+		s.witness = slices.Insert(s.witness, 0, s.m.schedule(v.Trace))
+		return nil, nil, nil
 	}
-	return v.Robust, nil
+	return pls, q, nil
+}
+
+// placements returns the moves pick names.
+func (s *search) placements(pick []int) []Placement {
+	pls := make([]Placement, len(pick))
+	for i, ci := range pick {
+		pls[i] = s.cands[ci]
+	}
+	return pls
 }
 
 // Refutes reports whether the witness — a thread schedule of p, such as
 // the thread ids of a non-robust core.Verify trace — replays on
 // Apply(p, placements) to a state where the oracle's per-state checks
-// (under opts' Model, AbstractVals and StaticPrune) report a violation:
-// the test Enforce uses to skip the oracle. A true answer implies
-// core.Verify calls the repaired program non-robust.
+// (under opts' Model and AbstractVals, without StaticPrune) report a
+// violation: the test Enforce uses to skip the oracle, run on the same
+// replay machine. A true answer implies core.Verify calls the repaired
+// program non-robust under opts, StaticPrune included.
 func Refutes(p *lang.Program, placements []Placement, witness []lang.Tid, opts core.Options) (bool, error) {
-	c, err := newCandidate(p, Apply(p, placements), opts)
+	m, err := newMachine(p, placements, opts)
 	if err != nil {
 		return false, err
 	}
-	return c.refutes(witness), nil
+	all := make([]int, len(placements))
+	for i := range all {
+		all[i] = i
+	}
+	m.set(all, true)
+	return m.refutes(witness), nil
 }
 
-// candidate is one program under test with an instrumented-SC stepper on
-// it, built once and reset for every cached witness replayed.
-type candidate struct {
-	p, q *lang.Program
-	st   *core.Stepper
+// machine is the replay machine of one search (see the package doc):
+// Apply of every candidate move to p, with an instrumented-SC stepper on
+// it, and each move's site.
+type machine struct {
+	p, all *lang.Program
+	st     *core.Stepper
+	sites  []site
 }
 
-func newCandidate(p, q *lang.Program, opts core.Options) (*candidate, error) {
-	st, err := core.NewStepper(q, opts)
+// site is one move's instruction in the shared program and its two
+// forms.
+type site struct {
+	tid     lang.Tid
+	pc      int
+	on, off lang.Inst
+}
+
+// newMachine builds the replay machine for the moves under opts' Model
+// and AbstractVals. The monitor is built without StaticPrune: the
+// package doc gives the reason.
+func newMachine(p *lang.Program, moves []Placement, opts core.Options) (*machine, error) {
+	all, at := apply(p, moves)
+	m := &machine{p: p, all: all, sites: make([]site, len(moves))}
+	for i, pl := range moves {
+		in := &all.Threads[pl.Tid].Insts[at[i]]
+		off := p.Threads[pl.Tid].Insts[pl.At]
+		if pl.Kind == InsertFence {
+			off = lang.Inst{Kind: lang.IAssign, Reg: in.Reg, E: lang.Const(0), Line: in.Line}
+		}
+		m.sites[i] = site{tid: pl.Tid, pc: at[i], on: *in, off: off}
+		*in = off
+	}
+	opts.StaticPrune = false
+	st, err := core.NewStepper(all, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &candidate{p: p, q: q, st: st}, nil
+	m.st = st
+	return m, nil
 }
 
-// atFence reports whether thread t's pending operation is a fence Apply
-// inserted: an FADD into the scratch register, which no instruction of
-// the original program can name.
-func (c *candidate) atFence(t lang.Tid) bool {
-	op := c.st.Op(t)
+// set switches the sites of the moves pick on or off.
+func (m *machine) set(pick []int, on bool) {
+	for _, ci := range pick {
+		s := &m.sites[ci]
+		in := s.off
+		if on {
+			in = s.on
+		}
+		m.all.Threads[s.tid].Insts[s.pc] = in
+	}
+}
+
+// atFence reports whether thread t's pending operation is a switched-on
+// fence: an FADD into the scratch register, which no instruction of the
+// original program can name.
+func (m *machine) atFence(t lang.Tid) bool {
+	op := m.st.Op(t)
 	if op.Kind != prog.OpFADD {
 		return false
 	}
-	return c.q.Threads[t].Insts[op.PC].Reg == lang.Reg(c.p.Threads[t].NumRegs)
+	return m.all.Threads[t].Insts[op.PC].Reg == lang.Reg(m.p.Threads[t].NumRegs)
 }
 
 // step runs thread t's pending operation. The replay stops when the
 // step is impossible (the thread terminated or is blocked), fails an
 // assertion, or reaches a violating state; violated is true only in the
 // last case.
-func (c *candidate) step(t lang.Tid) (violated, stop bool) {
-	if _, ok, fail := c.st.Step(t); !ok || fail != nil {
+func (m *machine) step(t lang.Tid) (violated, stop bool) {
+	if _, ok, fail := m.st.Step(t); !ok || fail != nil {
 		return false, true
 	}
-	if c.st.Violation() != nil {
+	if m.st.Violation() != nil {
 		return true, true
 	}
 	return false, false
 }
 
-// fences runs the inserted fences thread t is poised at.
-func (c *candidate) fences(t lang.Tid) (violated, stop bool) {
-	for c.atFence(t) {
-		if violated, stop = c.step(t); stop {
+// fences runs the switched-on fences thread t is poised at.
+func (m *machine) fences(t lang.Tid) (violated, stop bool) {
+	for m.atFence(t) {
+		if violated, stop = m.step(t); stop {
 			return violated, stop
 		}
 	}
 	return false, false
 }
 
-// refutes replays witness w on the candidate: each scheduled thread first
-// runs the inserted fences it has reached, then its own step, and the
-// pending fences of every thread are flushed at the end. Only a state
-// where Verify's per-state checks report a violation refutes; any other
-// outcome is unknown and leaves the candidate to the oracle.
-func (c *candidate) refutes(w []lang.Tid) bool {
-	if c.st.Reset() != nil {
+// refutes replays witness w with the current sites: each scheduled
+// thread first runs the fences it has reached, then its own step, and
+// the pending fences of every thread are flushed at the end. Only a
+// state where Verify's per-state checks report a violation refutes; any
+// other outcome is unknown and leaves the candidate to the oracle.
+func (m *machine) refutes(w []lang.Tid) bool {
+	if m.st.Reset() != nil {
 		return false
 	}
-	if c.st.Violation() != nil {
+	if m.st.Violation() != nil {
 		return true
 	}
 	for _, t := range w {
-		if violated, stop := c.fences(t); stop {
+		if violated, stop := m.fences(t); stop {
 			return violated
 		}
-		if violated, stop := c.step(t); stop {
+		if violated, stop := m.step(t); stop {
 			return violated
 		}
 	}
-	for t := range c.q.Threads {
-		if violated, stop := c.fences(lang.Tid(t)); stop {
+	for t := range m.all.Threads {
+		if violated, stop := m.fences(lang.Tid(t)); stop {
 			return violated
 		}
 	}
 	return false
 }
 
-// schedule turns an oracle trace on the candidate into a witness: its
-// thread schedule without the inserted fence steps.
-func (c *candidate) schedule(trace []explore.Step) []lang.Tid {
-	c.st.Reset()
+// schedule turns an oracle trace on the candidate whose sites are on
+// into a witness: its thread schedule without the fence steps.
+func (m *machine) schedule(trace []explore.Step) []lang.Tid {
+	m.st.Reset()
 	w := make([]lang.Tid, 0, len(trace))
 	for _, s := range trace {
-		if !c.atFence(s.Tid) {
+		if !m.atFence(s.Tid) {
 			w = append(w, s.Tid)
 		}
-		c.st.Step(s.Tid)
+		m.st.Step(s.Tid)
 	}
 	return w
 }

@@ -168,12 +168,13 @@ func TranslateFiles(paths []string) (*Package, error) {
 // Each call parses and fully type-checks its own files in a FileSet of
 // its own, so positions and findings depend on nothing but the input.
 // Imports resolve through one importer shared by the whole process, and
-// only standard-library packages (directories under GOROOT/src) can be
-// imported: a local, relative, GOPATH or module path fails the type
-// check with an error naming the import, before anything outside GOROOT
-// is read. Each imported package is parsed and type-checked on its first
-// import and then stays resident for the life of the process; the cache
-// is bounded by what GOROOT holds.
+// only the standard-library packages the frontend models can be
+// imported: sync/atomic, sync, runtime, time and unsafe. Any other path
+// (another standard-library package, a local, relative, GOPATH or module
+// path) fails the type check with an error naming the import, before
+// anything is read or any process started. Each imported package is
+// parsed and type-checked on its first import and then stays resident
+// for the life of the process.
 func TranslateSources(srcs map[string]string) (*Package, error) {
 	return translateSources(srcs, stdlib)
 }

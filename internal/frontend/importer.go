@@ -6,9 +6,7 @@ import (
 	"go/importer"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 )
 
@@ -16,8 +14,8 @@ import (
 // It wraps one source importer over GOROOT, with its own FileSet, and
 // keeps each package it loaded by import path: the standard library
 // cannot change while the process runs, so sync/atomic is parsed and
-// type-checked once, not once per translation. Only paths that name a
-// directory under GOROOT/src are loaded.
+// type-checked once, not once per translation. Only the importable
+// packages are loaded.
 type stdImporter struct {
 	src string // GOROOT/src; empty when no GOROOT is known
 
@@ -28,6 +26,13 @@ type stdImporter struct {
 	imp  types.ImporterFrom
 	pkgs sync.Map // import path -> *types.Package
 }
+
+// importable lists the packages a translation may import: the ones the
+// frontend models, and unsafe. Any other path fails before the source
+// importer or go/build sees it, so no import reads outside GOROOT or
+// starts a process (os/user and net/http would run cgo and the C
+// compiler), and a refused import costs the same on every call.
+var importable = map[string]bool{"sync/atomic": true, "sync": true, "runtime": true, "time": true, "unsafe": true}
 
 // stdlib is the importer every TranslateSources call shares.
 var stdlib = newStdImporter()
@@ -44,8 +49,8 @@ func (s *stdImporter) Import(path string) (*types.Package, error) {
 	if pkg, ok := s.pkgs.Load(path); ok {
 		return pkg.(*types.Package), nil
 	}
-	if !s.inGOROOT(path) {
-		return nil, fmt.Errorf("%s is not a standard-library package; only those can be imported", path)
+	if !importable[path] {
+		return nil, fmt.Errorf("%s is not a standard-library package the frontend models; only sync/atomic, sync, runtime, time and unsafe can be imported", path)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -61,20 +66,4 @@ func (s *stdImporter) Import(path string) (*types.Package, error) {
 	}
 	s.pkgs.Store(path, pkg)
 	return pkg, nil
-}
-
-// inGOROOT reports whether path is a clean import path naming a
-// directory under GOROOT/src. Local, absolute and non-canonical paths
-// are refused before the filesystem is touched.
-func (s *stdImporter) inGOROOT(path string) bool {
-	if s.src == "" {
-		return false
-	}
-	for _, elem := range strings.Split(path, "/") {
-		if elem == "" || elem == "." || elem == ".." || strings.ContainsRune(elem, '\\') {
-			return false
-		}
-	}
-	fi, err := os.Stat(filepath.Join(s.src, filepath.FromSlash(path)))
-	return err == nil && fi.IsDir()
 }

@@ -173,6 +173,28 @@ func TestImportsStandardLibraryOnly(t *testing.T) {
 	}
 }
 
+// TestImportsOutsideAllowlistStartNoProcess pins that a standard-library
+// import the frontend does not model fails at once, every time, without
+// the go command or the C compiler: with no PATH to find them, each
+// translation of os/user (cgo) and net/http fails in well under 50 ms
+// with an error naming the import.
+func TestImportsOutsideAllowlistStartNoProcess(t *testing.T) {
+	t.Setenv("PATH", "/nonexistent")
+	for _, path := range []string{"os/user", "net/http"} {
+		src := fmt.Sprintf("package p\n\nimport _ %q\n", path)
+		for range 2 {
+			start := time.Now()
+			_, err := TranslateSources(map[string]string{"input.go": src})
+			if d := time.Since(start); d > 50*time.Millisecond {
+				t.Errorf("import %q took %v", path, d)
+			}
+			if err == nil || !strings.Contains(err.Error(), path+" is not a standard-library package the frontend models") {
+				t.Errorf("import %q: %v, want an error naming the import", path, err)
+			}
+		}
+	}
+}
+
 // FuzzTranslateSources feeds arbitrary single-file sources to the
 // frontend: each must translate or fail with an error, never panic; every
 // unit must carry positions inside its file, and every decline a

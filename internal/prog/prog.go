@@ -128,6 +128,23 @@ func (p *P) InitState() (State, *AssertFailure) {
 	return st, nil
 }
 
+// InitStateInto overwrites s, which must have the shape of InitStateRaw's
+// result, with the ε-closed initial state, reading the instructions as
+// they are now: a caller that rewrites ε-instructions in place between
+// runs gets the closure of the current program. It reports a failing
+// assertion as InitState does; s is then not a state to step from.
+func (p *P) InitStateInto(s State) *AssertFailure {
+	for i := range p.Threads {
+		ts := &s.Threads[i]
+		ts.PC = 0
+		clear(ts.Regs)
+		if fail := p.Threads[i].epsCloseInPlace(ts); fail != nil {
+			return fail
+		}
+	}
+	return nil
+}
+
 // State is a state of the concurrent program: one ThreadState per thread.
 // The verifier maintains the invariant that every thread is at a memory
 // instruction or terminated (ε-closure applied).

@@ -246,3 +246,21 @@ func TestAnalyzeImportsStandardLibraryOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeRefusesUnmodeledImports pins that a standard-library import
+// the frontend does not model is a 400 naming the import, answered
+// without the go command or the C compiler (PATH finds neither).
+func TestAnalyzeRefusesUnmodeledImports(t *testing.T) {
+	t.Setenv("PATH", "/nonexistent")
+	_, ts := newTestServer(t, service.Config{MaxJobs: 1, Workers: 1})
+	for _, path := range []string{"os/user", "net/http"} {
+		src := strings.Replace(goMP, `import "sync/atomic"`, "import (\n\t\"sync/atomic\"\n\t_ \""+path+"\"\n)", 1)
+		resp, _, body := postAnalyze(t, ts.URL, service.AnalyzeRequest{Source: src})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("import %q: code=%d, want 400: %s", path, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), path+" is not a standard-library package the frontend models") {
+			t.Errorf("import %q: error does not name the import: %s", path, body)
+		}
+	}
+}
