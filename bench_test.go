@@ -252,7 +252,7 @@ func BenchmarkLitmus(b *testing.B) {
 // BenchmarkScaling sweeps the lock generators over thread counts — the
 // verifier's scaling curve behind the spinlock/spinlock4 and
 // ticketlock/ticketlock4 row pairs of Figure 7 (regenerate interactively
-// with cmd/sweep).
+// with rocker sweep).
 func BenchmarkScaling(b *testing.B) {
 	for n := 2; n <= 5; n++ {
 		src := litmus.SpinlockSrc(n, 1)
@@ -281,7 +281,7 @@ func BenchmarkScaling(b *testing.B) {
 }
 
 // BenchmarkEmitGenerate measures the compiler front half of the
-// generate/compile/verify pipeline (cmd/emit); the toolchain invocation
+// generate/compile/verify pipeline (rocker emit); the toolchain invocation
 // that dominates end-to-end time — as gcc did for the paper's Spin
 // pipeline — is exercised by the emit package's tests instead.
 func BenchmarkEmitGenerate(b *testing.B) {

@@ -1,9 +1,9 @@
 package main
 
 import (
-	"context"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,56 +25,35 @@ import (
 // errors, and 0 otherwise — declined units report their reason but do
 // not fail the run, since declining is the frontend's way of refusing
 // to guess.
-func runGolint(args []string) int {
-	fs := flag.NewFlagSet("rocker golint", flag.ExitOnError)
-	modelsFlag := fs.String("models", "ra", "comma-separated verdict models (ra, sra, plus any -list-modes mode)")
-	maxStates := fs.Int("max", 2_000_000, "state bound per unit and model (0 = unbounded)")
-	workers := fs.Int("workers", 0, "parallel exploration workers (0 = all cores)")
+func runGolint(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("rocker golint", stderr, "rocker golint [flags] file.go... | dir | dir/...")
+	modelsFlag := fs.String("models", "ra", "comma-separated verdict models (see rocker -list-modes)")
+	maxStates := maxFlag(fs, 2_000_000)
+	workers := workersFlag(fs)
 	noRepair := fs.Bool("norepair", false, "skip the fence-repair suggestion on non-robust units")
 	emitDir := fs.String("emit", "", "write each unit's translated .lit listing into this directory")
 	quiet := fs.Bool("q", false, "verdict lines only, no per-unit ok output")
 	timeout := fs.Duration("timeout", 0, "abort after this long (0 = no deadline)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: rocker golint [flags] file.go... | dir | dir/...")
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseStatus(err)
 	}
 	if fs.NArg() == 0 {
-		fs.Usage()
-		return 2
+		return fail(fs, usageError("no Go files or packages given"))
 	}
-
-	var modes []string
-	for _, m := range strings.Split(*modelsFlag, ",") {
-		m = strings.TrimSpace(m)
-		if m == "" {
-			continue
-		}
-		if m != "ra" && m != "sra" && !model.Valid(m) {
-			fmt.Fprintf(os.Stderr, "rocker golint: unknown model %q (supported: ra, sra, %s)\n", m, model.ModeList())
-			return 2
-		}
-		modes = append(modes, m)
+	modes, err := model.ParseModes(*modelsFlag)
+	if err != nil {
+		return fail(fs, fmt.Errorf("-models: %w", err))
 	}
-
 	pkgs, err := golintPackages(fs.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rocker golint:", err)
-		return 2
+		return fail(fs, err)
 	}
 	if len(pkgs) == 0 {
-		fmt.Fprintln(os.Stderr, "rocker golint: no Go files found")
-		return 2
+		return fail(fs, errors.New("no Go files found"))
 	}
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := deadline(*timeout)
+	defer cancel()
 	opts := frontend.LintOptions{
 		Models:    modes,
 		MaxStates: *maxStates,
@@ -87,30 +66,29 @@ func runGolint(args []string) int {
 	for _, files := range pkgs {
 		pkg, err := frontend.TranslateFiles(files)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rocker golint:", err)
+			fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
 			status = 2
 			continue
 		}
 		for _, d := range pkg.Declined {
-			fmt.Printf("%s: %s: declined: %s (%s)\n", d.Pos, d.Name, d.Reason, d.Construct)
+			fmt.Fprintf(stdout, "%s: %s: declined: %s (%s)\n", d.Pos, d.Name, d.Reason, d.Construct)
 		}
 		for _, u := range pkg.Units {
 			rep, err := frontend.LintUnit(u, opts)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "rocker golint:", err)
+				fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
 				status = 2
 				continue
 			}
 			if *emitDir != "" {
 				name := filepath.Join(*emitDir, u.Prog.Name+".lit")
 				if err := os.WriteFile(name, []byte(frontend.EmitLit(u)), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, "rocker golint:", err)
-					return 2
+					return fail(fs, err)
 				}
 			}
 			bad := false
 			for _, f := range rep.Findings {
-				fmt.Printf("%s: %s\n", f.Pos, f.Message)
+				fmt.Fprintf(stdout, "%s: %s\n", f.Pos, f.Message)
 				bad = true
 			}
 			verdicts := make([]string, 0, len(modes))
@@ -126,11 +104,11 @@ func runGolint(args []string) int {
 				if status == 0 {
 					status = 1
 				}
-				fmt.Printf("%s: %s: %s\n", u.Pos, u.Name, strings.Join(verdicts, ", "))
+				fmt.Fprintf(stdout, "%s: %s: %s\n", u.Pos, u.Name, strings.Join(verdicts, ", "))
 			} else if !*quiet {
-				fmt.Printf("%s: %s: ok (%s)\n", u.Pos, u.Name, strings.Join(verdicts, ", "))
+				fmt.Fprintf(stdout, "%s: %s: ok (%s)\n", u.Pos, u.Name, strings.Join(verdicts, ", "))
 			} else {
-				fmt.Printf("%s: %s: %s\n", u.Pos, u.Name, strings.Join(verdicts, ", "))
+				fmt.Fprintf(stdout, "%s: %s: %s\n", u.Pos, u.Name, strings.Join(verdicts, ", "))
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
@@ -15,15 +15,11 @@ import (
 // as file:line:col: message, one per line; the exit status is 1 when any
 // file has findings, 2 on I/O or parse errors, 0 when everything is
 // clean.
-func runVet(args []string) int {
-	fs := flag.NewFlagSet("rocker vet", flag.ExitOnError)
+func runVet(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("rocker vet", stderr, "rocker vet [-q] file.lit...")
 	quiet := fs.Bool("q", false, "suppress the per-file ok lines")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: rocker vet [-q] file.lit...")
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseStatus(err)
 	}
 	if fs.NArg() == 0 {
 		fs.Usage()
@@ -33,26 +29,25 @@ func runVet(args []string) int {
 	for _, name := range fs.Args() {
 		src, err := os.ReadFile(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rocker vet:", err)
-			return 2
+			return fail(fs, err)
 		}
 		p, err := parser.ParseLenient(string(src))
 		if err != nil {
 			// Parser errors already carry line:col.
-			fmt.Printf("%s:%v\n", name, err)
+			fmt.Fprintf(stdout, "%s:%v\n", name, err)
 			status = 2
 			continue
 		}
 		findings := analysis.Vet(p)
 		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s\n", name, f.Line, f.Col, f.Msg)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s\n", name, f.Line, f.Col, f.Msg)
 		}
 		if len(findings) > 0 {
 			if status == 0 {
 				status = 1
 			}
 		} else if !*quiet {
-			fmt.Printf("%s: ok\n", name)
+			fmt.Fprintf(stdout, "%s: ok\n", name)
 		}
 	}
 	return status

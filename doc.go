@@ -9,6 +9,7 @@
 // substitution notes, and EXPERIMENTS.md for the paper-versus-measured
 // record. The public entry points live under internal/ (this is a
 // self-contained research artifact): internal/core is the verifier,
-// internal/litmus the benchmark corpus, and the runnable tools are in
-// cmd/rocker, cmd/litmus, cmd/fencer and cmd/fig7.
+// internal/litmus the benchmark corpus, and the runnable tool is
+// cmd/rocker (verify, the -models matrix, and the vet, golint, fig7,
+// sweep, repair, simulate and emit subcommands).
 package repro

@@ -7,7 +7,7 @@ import (
 	"repro/internal/litmus"
 )
 
-// BenchmarkEnforce repairs each non-robust Figure 7 row at fencer's
+// BenchmarkEnforce repairs each non-robust Figure 7 row at rocker repair's
 // defaults (fences only, at most four):
 //
 //	go test -run '^$' -bench Enforce -benchmem ./internal/fence

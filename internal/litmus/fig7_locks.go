@@ -13,7 +13,7 @@ import (
 
 // SpinlockSrc returns a parameterized test-and-set spinlock program (n
 // threads, `rounds` acquisitions each) — the workload generator behind the
-// spinlock rows and the scaling sweep (cmd/sweep).
+// spinlock rows and the scaling sweep (rocker sweep).
 func SpinlockSrc(n, rounds int) string {
 	return spinlockSrc(fmt.Sprintf("spinlock-n%d-r%d", n, rounds), n, rounds)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/lang"
 	"repro/internal/staterobust"
 )
@@ -16,8 +17,8 @@ import (
 // (so a new model cannot drift out of the error message or the dispatch
 // switch), the verdict-cache key embeds these strings verbatim
 // (internal/verkey — which is why "tso" and "state-tso" can never alias
-// in the LRU, the vstore, or a cluster peer), and rocker -models /
-// sweep -models iterate the matrix through Run.
+// in the LRU, the vstore, or a cluster peer), and rocker -models
+// iterates the matrix through Run.
 
 // Mode strings. The graph modes run the §5 SCM-instrumented decision
 // procedure (execution-graph robustness); the state modes decide
@@ -95,6 +96,27 @@ func Lookup(mode string) (Info, bool) {
 // error messages and usage lines.
 func ModeList() string { return strings.Join(Modes(), ", ") }
 
+// ParseModes parses a comma-separated mode list, such as a -models flag:
+// blank entries are skipped, every other entry must be a registered
+// mode, and the list must name at least one.
+func ParseModes(spec string) ([]string, error) {
+	var out []string
+	for _, m := range strings.Split(spec, ",") {
+		m = strings.TrimSpace(m)
+		if m == "" {
+			continue
+		}
+		if !Valid(m) {
+			return nil, fmt.Errorf("unknown mode %q (supported: %s)", m, ModeList())
+		}
+		out = append(out, m)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty mode list (supported: %s)", ModeList())
+	}
+	return out, nil
+}
+
 // Check dispatches the state modes (tso, state-ra, state-sra,
 // state-tso) to their checkers under one staterobust.Limits.
 func Check(mode string, program *lang.Program, lim staterobust.Limits) (*staterobust.Result, error) {
@@ -137,12 +159,15 @@ type RunResult struct {
 	// workers): the verdict is then only as good as that capacity.
 	BufBoundHit bool
 	AssertFail  string
-	TraceLen    int
-	Elapsed     time.Duration
+	// Trace is the witness of a ✗ verdict: the SC run to the violation
+	// for ra and sra, the weak run to an SC-unreachable program state for
+	// the state modes (nil for sc, and whenever the verdict is ✓).
+	Trace   []explore.Step
+	Elapsed time.Duration
 }
 
 // Run answers one mode's question about one program — the uniform entry
-// point behind rocker -models and sweep -models.
+// point behind rocker -models.
 func Run(mode string, program *lang.Program, o RunOpts) (*RunResult, error) {
 	start := time.Now()
 	info, ok := Lookup(mode)
@@ -177,7 +202,7 @@ func Run(mode string, program *lang.Program, o RunOpts) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rr := &RunResult{Mode: mode, Robust: v.Robust, States: v.States, TraceLen: len(v.Trace), Elapsed: time.Since(start)}
+		rr := &RunResult{Mode: mode, Robust: v.Robust, States: v.States, Trace: v.Trace, Elapsed: time.Since(start)}
 		if v.AssertFail != nil {
 			rr.AssertFail = v.AssertFail.Error()
 		}
@@ -200,7 +225,7 @@ func Run(mode string, program *lang.Program, o RunOpts) (*RunResult, error) {
 		SCStates:    r.SCStates,
 		WeakStates:  r.WeakStates,
 		BufBoundHit: r.BufBoundHit,
-		TraceLen:    len(r.WitnessTrace),
+		Trace:       r.WitnessTrace,
 		Elapsed:     time.Since(start),
 	}, nil
 }

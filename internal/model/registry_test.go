@@ -10,7 +10,7 @@ import (
 )
 
 // TestRegistryModes pins the registry surface: canonical order (user-facing
-// in rocker/sweep output and rockerd error messages), validity, and the
+// in rocker output and rockerd error messages), validity, and the
 // mode list string.
 func TestRegistryModes(t *testing.T) {
 	want := []string{"ra", "sra", "sc", "tso", "state-ra", "state-sra", "state-tso"}
@@ -39,6 +39,21 @@ func TestRegistryModes(t *testing.T) {
 	list := ModeList()
 	if list != strings.Join(want, ", ") {
 		t.Errorf("ModeList() = %q", list)
+	}
+}
+
+// TestParseModes pins the one -models parser: blanks and spaces are
+// skipped, order and repeats are kept, and an unknown or empty list is
+// an error naming the supported modes.
+func TestParseModes(t *testing.T) {
+	got, err := ParseModes(" ra, ,state-tso,ra")
+	if err != nil || strings.Join(got, ",") != "ra,state-tso,ra" {
+		t.Fatalf("ParseModes = %v, %v", got, err)
+	}
+	for _, spec := range []string{"", " , ", "ra,x86", "RA"} {
+		if got, err := ParseModes(spec); err == nil || !strings.Contains(err.Error(), ModeList()) {
+			t.Errorf("ParseModes(%q) = %v, %v; want an error listing the modes", spec, got, err)
+		}
 	}
 }
 

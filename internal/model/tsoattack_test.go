@@ -165,7 +165,7 @@ func TestTSOWorkerIndependence(t *testing.T) {
 						continue
 					}
 					if rr.Robust != ref.Robust || rr.States != ref.States || rr.SCStates != ref.SCStates ||
-						rr.WeakStates != ref.WeakStates || rr.TraceLen != ref.TraceLen || rr.BufBoundHit != ref.BufBoundHit {
+						rr.WeakStates != ref.WeakStates || len(rr.Trace) != len(ref.Trace) || rr.BufBoundHit != ref.BufBoundHit {
 						t.Errorf("%s workers=%d: %+v, workers=1: %+v", mode, w, *rr, *ref)
 					}
 				}
