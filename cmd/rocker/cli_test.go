@@ -20,7 +20,11 @@ import (
 // Each case runs the new command line in-process and must reproduce its
 // golden. stray-operand, repair-stray-operands and all-stray-operand
 // record the fixed behaviour: an operand next to -corpus or -all is a
-// usage error.
+// usage error. The all-* cases pin -all's flags: -max, -prune and
+// -hashcompact reach every row (a row over -max prints a bound line and
+// does not fail the table), an unknown -model is an error as on one
+// program, and -model sra is a usage error, since the corpus records RA
+// verdicts only.
 var cliCases = []struct {
 	golden string
 	args   []string
@@ -42,6 +46,11 @@ var cliCases = []struct {
 	{golden: "two-operands", args: []string{"../../examples/lit/mp.lit", "../../examples/lit/corr.lit"}},
 	{golden: "all", args: []string{"-all"}},
 	{golden: "all-stray-operand", args: []string{"-models", "ra", "-all", "extra.lit"}},
+	{golden: "all-bound", args: []string{"-all", "-max", "1000"}},
+	{golden: "all-prune-hashcompact", args: []string{"-all", "-prune", "-hashcompact"}},
+	{golden: "all-model-bogus", args: []string{"-all", "-model", "bogus"}},
+	{golden: "all-model-sra", args: []string{"-all", "-model", "sra"}},
+	{golden: "verify-model-bogus", args: []string{"-model", "bogus", "-corpus", "SB"}},
 	{golden: "list", args: []string{"-list"}},
 	{golden: "list-modes", args: []string{"-list-modes"}},
 	{golden: "models-barrier", args: []string{"-models", "ra,sra,tso,sc", "-corpus", "barrier"}},

@@ -134,7 +134,7 @@ func runVerify(args []string, stdout, stderr io.Writer) (status int) {
 	listModes := fs.Bool("list-modes", false, "list the registered verification modes")
 	corpusName := corpusFlag(fs)
 	list := fs.Bool("list", false, "list built-in corpus programs")
-	all := fs.Bool("all", false, "verify the whole corpus and compare against the expected verdicts")
+	all := fs.Bool("all", false, "verify the whole corpus and compare against the expected RA verdicts (-max, -prune, -hashcompact and -timeout bound each row)")
 	timeout := fs.Duration("timeout", 0, "abort verification after this long (0 = no deadline); with -all, per row (per cell with -models)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -222,8 +222,27 @@ func runVerify(args []string, stdout, stderr io.Writer) (status int) {
 		return status
 	}
 
+	m := core.ModelRA
+	switch *modelFlag {
+	case "ra":
+	case "sra":
+		m = core.ModelSRA
+	default:
+		return fail(fs, fmt.Errorf("unknown model %q (want ra or sra)", *modelFlag))
+	}
+
 	if *all {
-		return verifyAll(fs, stdout, core.Options{AbstractVals: !*full, Workers: *workers, Reduce: !*noReduce}, *timeout)
+		if m != core.ModelRA {
+			return fail(fs, usageError("-all checks the corpus's expected RA verdicts: it takes no -model "+*modelFlag))
+		}
+		return verifyAll(fs, stdout, core.Options{
+			AbstractVals: !*full,
+			HashCompact:  *hashCompact,
+			MaxStates:    *maxStates,
+			Workers:      *workers,
+			StaticPrune:  *prune,
+			Reduce:       !*noReduce,
+		}, *timeout)
 	}
 
 	if *list {
@@ -242,14 +261,6 @@ func runVerify(args []string, stdout, stderr io.Writer) (status int) {
 		return fail(fs, err)
 	}
 
-	m := core.ModelRA
-	switch *modelFlag {
-	case "ra":
-	case "sra":
-		m = core.ModelSRA
-	default:
-		return fail(fs, fmt.Errorf("unknown model %q (want ra or sra)", *modelFlag))
-	}
 	ctx, cancel := deadline(*timeout)
 	defer cancel()
 	v, err := core.Verify(program, core.Options{
@@ -308,8 +319,9 @@ func runVerify(args []string, stdout, stderr io.Writer) (status int) {
 }
 
 // verifyAll verifies every corpus row that is not Big and compares the
-// verdict against the expected one; each row gets its own deadline, so a
-// slow row prints a timeout line instead of ending the table.
+// verdict against the expected one; each row gets its own deadline and
+// state bound, so a slow or large row prints a timeout or bound line
+// instead of ending the table.
 func verifyAll(fs *flag.FlagSet, stdout io.Writer, opts core.Options, timeout time.Duration) int {
 	bad := 0
 	for _, e := range litmus.All() {
@@ -323,6 +335,10 @@ func verifyAll(fs *flag.FlagSet, stdout io.Writer, opts core.Options, timeout ti
 		cancel()
 		if errors.Is(err, explore.ErrCanceled) {
 			fmt.Fprintf(stdout, "%-22s (timeout: no verdict within %v)\n", e.Name, timeout)
+			continue
+		}
+		if errors.Is(err, explore.ErrBound) {
+			fmt.Fprintf(stdout, "%-22s (bound: more than %d states)\n", e.Name, opts.MaxStates)
 			continue
 		}
 		if err != nil {

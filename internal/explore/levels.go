@@ -335,10 +335,11 @@ func RunLevels(workers int, roots [][]int64, expand LevelExpand, commits []Commi
 }
 
 // A Batch is one worker's entries for one commit phase of a RunLevels
-// round: keys with their Hash128, grouped by the shard the hash selects,
-// plus a mask of the shards touched, so a light round commits only those.
-// Batches are pooled, and their buffers kept from level to level and run
-// to run, so batching allocates nothing in steady state.
+// round: keys with their probe digests, grouped by the shard their
+// Hash128 selects, plus a mask of the shards touched, so a light round
+// commits only those. Batches are pooled, and their buffers kept from
+// level to level and run to run, so batching allocates nothing in steady
+// state.
 type Batch struct {
 	now   batchSet // committed with this round
 	later batchSet // Deferred: committed with the next level's first round
@@ -350,7 +351,8 @@ type batchSet struct {
 	bks  [numShards]bucket
 }
 
-// bucket is one shard's entries of a batch, their keys packed in keys.
+// bucket is one shard's entries of a batch, their keys packed in keys in
+// entry order.
 // sleep is the sleep lane: each entry's mask when the batch's entries
 // were added with AddSleep, and empty otherwise, so the entries of
 // callers without sleep sets carry no mask.
@@ -360,14 +362,16 @@ type bucket struct {
 	sleep []uint64
 }
 
-// entry is one batched key: the Hash128 lane that probes its shard's
-// table, the parent and step recorded if it is new to a Sharded store,
-// and the caller's tag.
+// entry is one batched key, in 32 bytes: the parent and step recorded if
+// it is new to a Sharded store, the probe digest of its shard's table (the
+// low 32 bits of the second Hash128 lane), the offset of its key in its
+// bucket's keys, and the caller's tag. The key ends where the next entry's
+// begins, or at the end of keys.
 type entry struct {
-	h      uint64
 	parent int64
 	step   Step
-	off, n uint32 // the key in its bucket's keys
+	h      uint32
+	off    uint32
 	tag    uint8
 }
 
@@ -431,13 +435,20 @@ func (s *batchSet) add(key []byte, parent int64, step Step, tag uint8) *bucket {
 	bk := &s.bks[si]
 	off := len(bk.keys)
 	bk.keys = append(bk.keys, key...)
-	bk.ents = append(bk.ents, entry{h: h[1], parent: parent, step: step, off: uint32(off), n: uint32(len(key)), tag: tag})
+	bk.ents = append(bk.ents, entry{parent: parent, step: step, h: uint32(h[1]), off: uint32(off), tag: tag})
 	s.mask |= 1 << si
 	s.n++
 	return bk
 }
 
-func (bk *bucket) key(e *entry) []byte { return bk.keys[e.off : e.off+e.n : e.off+e.n] }
+// key returns the key of entry i; it aliases the bucket.
+func (bk *bucket) key(i int) []byte {
+	end := len(bk.keys)
+	if i+1 < len(bk.ents) {
+		end = int(bk.ents[i+1].off)
+	}
+	return bk.keys[bk.ents[i].off:end:end]
+}
 
 func (bk *bucket) reset() { bk.keys, bk.ents, bk.sleep = bk.keys[:0], bk.ents[:0], bk.sleep[:0] }
 
@@ -447,7 +458,7 @@ func (p Probe) commit(si int, bks []*bucket, on func(int64, uint8, []byte)) {
 	for _, bk := range bks {
 		for i := range bk.ents {
 			e := &bk.ents[i]
-			if key := bk.key(e); !sh.keys.has(key, e.h) {
+			if key := bk.key(i); !sh.keys.has(key, e.h) {
 				on(e.parent, e.tag, key)
 			}
 		}

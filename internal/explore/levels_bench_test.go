@@ -81,13 +81,20 @@ func (s *internStream) key(k int32) []byte {
 }
 
 // reportPerIntern reports ns/intern and allocs/intern for b.N replays of
-// the stream, given the memory statistics from before the timed loop.
-func reportPerIntern(b *testing.B, s *internStream, before *runtime.MemStats) {
+// the stream, given the memory statistics read after a GC before the timed
+// loop, and B/state: the live heap after GC, over that before the loop,
+// per state of the last replay's store (which must still be reachable).
+func reportPerIntern(b *testing.B, s *internStream, before *runtime.MemStats, store *explore.Sharded) {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	interns := float64(b.N) * float64(s.interns)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/interns, "ns/intern")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/interns, "allocs/intern")
+	runtime.GC()
+	runtime.GC() // the second empties the batch pool's victim cache
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(store.Len()), "B/state")
+	runtime.KeepAlive(store)
 }
 
 // BenchmarkLevelCommit interns the stream through RunLevels: each level's
@@ -96,10 +103,12 @@ func BenchmarkLevelCommit(b *testing.B) {
 	s := loadStream()
 	b.ReportAllocs()
 	var before runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
+	var store *explore.Sharded
 	for i := 0; i < b.N; i++ {
-		store := explore.NewSharded(false)
+		store = explore.NewSharded(false)
 		root, _ := store.Add(s.key(0), -1, explore.Step{})
 		expand := func(w int, id int64, bt *explore.Batch) bool {
 			k := int32(binary.LittleEndian.Uint64(store.Key(id)))
@@ -114,7 +123,7 @@ func BenchmarkLevelCommit(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportPerIntern(b, s, &before)
+	reportPerIntern(b, s, &before, store)
 }
 
 // BenchmarkShardedAdd interns the same stream, level by level, with one
@@ -125,10 +134,12 @@ func BenchmarkShardedAdd(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	var before runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
+	var store *explore.Sharded
 	for i := 0; i < b.N; i++ {
-		store := explore.NewSharded(false)
+		store = explore.NewSharded(false)
 		store.Add(s.key(0), -1, explore.Step{})
 		for _, level := range s.levels {
 			var (
@@ -159,5 +170,5 @@ func BenchmarkShardedAdd(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportPerIntern(b, s, &before)
+	reportPerIntern(b, s, &before, store)
 }

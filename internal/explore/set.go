@@ -38,7 +38,7 @@ func (s *Set) Add(key []byte) (int64, bool) {
 	si := h[0] & shardMask
 	sh := &s.shards[si]
 	sh.mu.Lock()
-	local, isNew := sh.keys.insert(key, h[1])
+	local, isNew := sh.keys.insert(key, uint32(h[1]))
 	sh.mu.Unlock()
 	if isNew {
 		s.count.Add(1)
@@ -51,7 +51,7 @@ func (s *Set) Has(key []byte) bool {
 	h := Hash128(key)
 	sh := &s.shards[h[0]&shardMask]
 	sh.mu.Lock()
-	ok := sh.keys.has(key, h[1])
+	ok := sh.keys.has(key, uint32(h[1]))
 	sh.mu.Unlock()
 	return ok
 }
@@ -71,7 +71,7 @@ func (s *Set) commit(si int, bks []*bucket, on func(int64, uint8, []byte)) {
 	for _, bk := range bks {
 		for i := range bk.ents {
 			e := &bk.ents[i]
-			key := bk.key(e)
+			key := bk.key(i)
 			if local, isNew := sh.keys.insert(key, e.h); isNew {
 				added++
 				on(int64(local)<<shardBits|int64(si), e.tag, key)

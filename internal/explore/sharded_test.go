@@ -1,7 +1,9 @@
 package explore_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,4 +62,75 @@ func TestShardedTrace(t *testing.T) {
 			t.Fatalf("trace[%d] = %+v, want %+v", i, got[i], steps[i])
 		}
 	}
+}
+
+// TestShardedKeyTraceAcrossBlocks interns a parent chain of 1 KiB keys, 24
+// MiB in all, so every shard's arena spans many blocks, and checks that
+// Key returns every key and Trace walks the whole chain.
+func TestShardedKeyTraceAcrossBlocks(t *testing.T) {
+	s := explore.NewSharded(false)
+	const n = 24 << 10
+	key := func(i int) []byte {
+		b := make([]byte, 1024)
+		binary.LittleEndian.PutUint32(b, uint32(i))
+		b[len(b)-1] = byte(i)
+		return b
+	}
+	ids := make([]int64, n)
+	parent := int64(-1)
+	for i := range ids {
+		id, isNew := s.Add(key(i), parent, explore.Step{Tid: lang.Tid(i % 5)})
+		if !isNew {
+			t.Fatalf("chain key %d duplicated", i)
+		}
+		ids[i], parent = id, id
+	}
+	for i, id := range ids {
+		if !bytes.Equal(s.Key(id), key(i)) {
+			t.Fatalf("Key(%d) of chain key %d corrupted", id, i)
+		}
+	}
+	trace := s.Trace(parent)
+	if len(trace) != n-1 {
+		t.Fatalf("trace of %d steps, want %d", len(trace), n-1)
+	}
+	for i, st := range trace {
+		if st.Tid != lang.Tid((i+1)%5) {
+			t.Fatalf("trace[%d].Tid = %d, want %d", i, st.Tid, (i+1)%5)
+		}
+	}
+}
+
+// TestShardedBytesPerState bounds the heap an exact Sharded store takes
+// per state: 1M distinct 32-byte keys, each interned once, and the live
+// heap after GC divided by the state count. The keys' bytes are 33 of it
+// (a one-byte length prefix each); the rest is the slot tables, key refs,
+// parent and step columns with their growth slack. The store measures
+// 80.5 B/state here.
+func TestShardedBytesPerState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("interns 1M states")
+	}
+	const n, bound = 1 << 20, 84
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := explore.NewSharded(false)
+	key := make([]byte, 32)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(key, uint64(i)*0x9e3779b97f4a7c15)
+		binary.LittleEndian.PutUint64(key[8:], uint64(i))
+		s.Add(key, int64(i)-1, explore.Step{})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s.Len() != n {
+		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	}
+	perState := float64(after.HeapAlloc-before.HeapAlloc) / n
+	t.Logf("%.1f B/state", perState)
+	if perState > bound {
+		t.Errorf("%.1f B/state after interning %d 32-byte keys, want at most %d", perState, n, bound)
+	}
+	runtime.KeepAlive(s)
 }

@@ -8,12 +8,14 @@ package explore
 // the test oracles that parallel checkers are compared against.
 //
 // It is an open-addressing hash table over keys interned in an
-// append-only byte arena: steady-state insertion allocates nothing per
-// state (arena blocks, the slot table and the per-id slices all grow
-// geometrically). Interned keys never move, so KeyBytes can hand out
-// stable views into the arena.
+// append-only byte arena (see keyTable): steady-state insertion allocates
+// nothing per state (arena blocks, the slot table and the per-id slices
+// all grow geometrically). Per state it keeps the key behind a length
+// prefix, a 4-byte key ref, 8-byte slots at a load of 3/8 to 3/4, a 4-byte
+// parent and a 12-byte step. Interned keys never move, so KeyBytes can
+// hand out stable views into the arena.
 type Store struct {
-	keys keyTable // probed by the first Hash128 lane
+	keys keyTable // probed by the low 32 bits of the first Hash128 lane
 
 	parent []int32
 	step   []Step
@@ -46,7 +48,7 @@ func (s *Store) Add(key string, parent int32, step Step) (int32, bool) {
 // key is only copied (into the arena) when the state is new, so callers
 // may reuse the backing buffer between calls.
 func (s *Store) AddBytes(key []byte, parent int32, step Step) (int32, bool) {
-	id, isNew := s.keys.insert(key, Hash128(key)[0])
+	id, isNew := s.keys.insert(key, uint32(Hash128(key)[0]))
 	if isNew {
 		s.parent = append(grown(s.parent), parent)
 		s.step = append(grown(s.step), step)

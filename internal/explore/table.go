@@ -3,21 +3,25 @@ package explore
 import "bytes"
 
 // keyTable is the exact-mode core shared by Store, Sharded's shards and
-// Set's shards: a linear-probing table of (digest, index+1) slots over
-// keys interned in an append-only arena, assigning dense indexes in
-// insertion order. The caller supplies a 64-bit probe digest (one Hash128
-// lane) and does any locking, and sets the table up with init or carve.
+// Set's shards: a linear-probing table of 8-byte (digest, index+1) slots
+// over keys interned in an append-only arena, assigning dense indexes in
+// insertion order, with one 4-byte keyRef per key. The caller supplies a
+// 32-bit probe digest (the low half of one Hash128 lane) and does any
+// locking, and sets the table up with init or carve.
 type keyTable struct {
 	arena arena
 	refs  []keyRef
 	table []slot
-	mask  uint64
+	mask  uint32
 }
 
-// slot is one open-addressing table entry: the key's 64-bit probe digest
-// and index+1, with 0 marking an empty slot.
+// slot is one open-addressing table entry: the key's 32-bit probe digest
+// and index+1, with 0 marking an empty slot. The digest both places the
+// key (h & mask) and filters the byte compares of a probe, and grow
+// rehashes from it alone. A digest match is confirmed by comparing the
+// key's bytes, so equal digests cost a compare, never a wrong answer.
 type slot struct {
-	h  uint64
+	h  uint32
 	id int32
 }
 
@@ -31,7 +35,7 @@ const (
 // init gives t an empty slot table of the given power-of-two size.
 func (t *keyTable) init(size int) {
 	t.table = make([]slot, size)
-	t.mask = uint64(size - 1)
+	t.mask = uint32(size - 1)
 }
 
 // slab is the initial storage of the 64 tables of a sharded store, carved
@@ -67,14 +71,14 @@ func (sl *slab) carve(t *keyTable, i int) {
 
 // insert interns key under probe digest h, returning its index and
 // whether it was new. The key is copied into the arena only when new.
-func (t *keyTable) insert(key []byte, h uint64) (int32, bool) {
+func (t *keyTable) insert(key []byte, h uint32) (int32, bool) {
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		sl := &t.table[i]
 		if sl.id == 0 {
 			t.refs = append(grown(t.refs), t.arena.intern(key))
 			id := int32(len(t.refs))
 			sl.h, sl.id = h, id
-			if uint64(id)*4 > (t.mask+1)*3 {
+			if uint64(id)*4 > (uint64(t.mask)+1)*3 {
 				t.grow()
 			}
 			return id - 1, true
@@ -86,7 +90,7 @@ func (t *keyTable) insert(key []byte, h uint64) (int32, bool) {
 }
 
 // has reports whether key (with probe digest h) is interned.
-func (t *keyTable) has(key []byte, h uint64) bool {
+func (t *keyTable) has(key []byte, h uint32) bool {
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		sl := &t.table[i]
 		if sl.id == 0 {
@@ -106,7 +110,7 @@ func (t *keyTable) key(id int32) []byte { return t.arena.bytes(t.refs[id]) }
 func (t *keyTable) grow() {
 	old := t.table
 	t.table = make([]slot, len(old)*2)
-	t.mask = uint64(len(t.table) - 1)
+	t.mask = uint32(len(t.table) - 1)
 	for _, sl := range old {
 		if sl.id == 0 {
 			continue
