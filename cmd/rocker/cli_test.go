@@ -24,7 +24,9 @@ import (
 // -hashcompact reach every row (a row over -max prints a bound line and
 // does not fail the table), an unknown -model is an error as on one
 // program, and -model sra is a usage error, since the corpus records RA
-// verdicts only.
+// verdicts only. The models-* usage cases pin that -models, whose modes
+// fix their own model, value tracking and store, refuses -model,
+// -hashcompact and -full instead of ignoring them.
 var cliCases = []struct {
 	golden string
 	args   []string
@@ -54,6 +56,9 @@ var cliCases = []struct {
 	{golden: "list", args: []string{"-list"}},
 	{golden: "list-modes", args: []string{"-list-modes"}},
 	{golden: "models-barrier", args: []string{"-models", "ra,sra,tso,sc", "-corpus", "barrier"}},
+	{golden: "models-model", args: []string{"-models", "ra", "-model", "sra", "-corpus", "SB"}},
+	{golden: "models-hashcompact", args: []string{"-models", "ra", "-hashcompact", "-corpus", "SB"}},
+	{golden: "models-full", args: []string{"-models", "ra,tso", "-full", "-corpus", "SB"}},
 	{golden: "state-ra-sb", args: []string{"-models", "state-ra", "-corpus", "SB"}, witness: true},
 	{golden: "state-tso-sb", args: []string{"-models", "state-tso", "-corpus", "SB"}, witness: true},
 	{golden: "state-ra-barrier", args: []string{"-models", "state-ra", "-corpus", "barrier"}, witness: true},

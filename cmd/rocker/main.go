@@ -183,6 +183,18 @@ func runVerify(args []string, stdout, stderr io.Writer) (status int) {
 	}
 
 	if *models != "" {
+		// Each mode fixes its own model, value tracking and store, so
+		// these flags have nothing to reach: refuse them, not ignore them.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "model", "hashcompact", "full":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fail(fs, usageError("-models runs each mode as registered (see -list-modes): it takes no "+strings.Join(ignored, ", ")))
+		}
 		modes, err := model.ParseModes(*models)
 		if err != nil {
 			return fail(fs, fmt.Errorf("-models: %w", err))

@@ -48,17 +48,15 @@ type search struct {
 
 // worker is one worker's decode and expansion scratch: the current
 // program state and a successor for the clone-free ApplyInto kernel, the
-// pending operations, the memory of the current state (the monitor
-// state, or the plain SC memory) and of a successor, the encode buffer,
-// the symmetry permutation and the reduction counters. Steady-state
-// expansion allocates nothing.
+// pending operations, the plain SC memory (without a monitor), a
+// successor's key and its key under the symmetry permutation, the
+// permutation and the reduction counters. Steady-state expansion
+// allocates nothing.
 type worker struct {
 	cur, nxt          prog.State
 	ops               []prog.MemOp
-	ms                scm.State
-	nextMS            *scm.State
 	mem               memsc.Memory
-	key               []byte
+	key, pkey         []byte
 	perm              []uint8
 	ample, sleep, sym int64
 }
@@ -101,12 +99,7 @@ func (v *verifier) explore(ps0 prog.State, opts Options) (*search, error) {
 	for w := range s.ws {
 		s.ws[w] = s.newWorker()
 	}
-	ws := s.ws[0]
-	ws.cur.CopyFrom(ps0)
-	if v.mon != nil {
-		v.mon.Reset(ws.nextMS)
-	}
-	root, _ := s.store.Add(s.encode(ws, nil), -1, explore.Step{})
+	root, _ := s.store.Add(s.rootKey(ps0), -1, explore.Step{})
 	ro := explore.RunOpts{Ctx: opts.Ctx, ProgressEvery: int64(opts.ProgressEvery)}
 	if opts.Progress != nil {
 		ro.Progress = func(expanded int64) {
@@ -136,31 +129,52 @@ func (s *search) newWorker() *worker {
 		ws.cur.Threads[i].Regs = make([]lang.Val, s.program.Threads[i].NumRegs)
 		ws.nxt.Threads[i].Regs = make([]lang.Val, s.program.Threads[i].NumRegs)
 	}
-	if s.mon != nil {
-		ws.nextMS = s.mon.Init()
-	} else {
+	if s.mon == nil {
 		ws.mem = memsc.New(s.program.NumLocs())
 	}
 	return ws
 }
 
-// encode sets ws.key to the encoding of the successor in ws.cur with
-// ws.nextMS (plain SC: ws.mem), its threads permuted by perm unless nil.
-func (s *search) encode(ws *worker, perm []uint8) []byte {
-	if perm != nil {
-		ws.key = s.p.EncodeStatePerm(ws.key[:0], ws.cur, perm)
-	} else {
-		ws.key = s.p.EncodeState(ws.key[:0], ws.cur)
+// rootKey returns the key of the program state ps0 with the initial memory.
+func (s *search) rootKey(ps0 prog.State) []byte {
+	key := s.p.EncodeState(nil, ps0)
+	if s.mon == nil {
+		return memsc.New(s.program.NumLocs()).Encode(key)
 	}
-	switch {
-	case s.mon == nil:
-		ws.key = ws.mem.Encode(ws.key)
-	case perm != nil:
-		ws.key = s.mon.EncodePerm(ws.key, ws.nextMS, perm)
-	default:
-		ws.key = s.mon.Encode(ws.key, ws.nextMS)
+	return s.mon.Encode(key, s.mon.Init())
+}
+
+// successor sets ws.key to the key of the successor by thread t's label
+// of the state with key key, whose memory starts at key[n:], and whose
+// thread t has stepped to ws.cur.Threads[t]: the parent's key with thread
+// t's block re-encoded and the memory stepped in place. It points ms at
+// the successor's monitor state in ws.key and returns it (nil for plain
+// SC).
+func (s *search) successor(ws *worker, ms *scm.State, key []byte, n, t int, label lang.Label) *scm.State {
+	ws.key = append(ws.key[:0], key...)
+	s.p.EncodeThreadAt(ws.key, t, ws.cur.Threads[t])
+	if s.mon == nil {
+		saved := ws.mem[label.Loc]
+		ws.mem.Step(label)
+		ws.key = ws.mem.Encode(ws.key[:n])
+		ws.mem[label.Loc] = saved
+		return nil
 	}
-	return ws.key
+	s.mon.View(ms, ws.key[n:])
+	s.mon.Step(ms, lang.Tid(t), label)
+	return ms
+}
+
+// permKey sets ws.pkey to the key of the successor in ws.cur and ws.key
+// (monitor state ms) with its threads permuted by perm.
+func (s *search) permKey(ws *worker, ms *scm.State, perm []uint8) []byte {
+	ws.pkey = s.p.EncodeStatePerm(ws.pkey[:0], ws.cur, perm)
+	if ms == nil {
+		// The plain SC memory is not thread-indexed.
+		return append(ws.pkey, ws.key[len(ws.pkey):]...)
+	}
+	ws.pkey = s.mon.EncodePerm(ws.pkey, ms, perm)
+	return ws.pkey
 }
 
 // expand is the RunLevels expansion of state id by worker w: the state's
@@ -174,17 +188,20 @@ func (s *search) expand(w int, id int64, b *explore.Batch) bool {
 	id &^= explore.Revisit
 	key := s.store.Key(id)
 	n := s.p.DecodeState(key, ws.cur)
+	// The monitor states are views of keys: the current one of the
+	// store's (read-only), a successor's of ws.key.
+	var cur, next scm.State
 	mem := ws.mem
 	if s.mon != nil {
-		s.mon.Decode(key[n:], &ws.ms)
-		mem = ws.ms.M
+		s.mon.View(&cur, key[n:])
+		mem = cur.M
 	} else {
 		mem.Decode(key[n:])
 	}
 	ops := ws.ops
 	s.p.OpsInto(ops, ws.cur)
 	if s.mon != nil && !revisit {
-		if viol, rank := s.violation(&ws.ms, ops); viol != nil {
+		if viol, rank := s.violation(&cur, ops); viol != nil {
 			s.report(&finding{key: key, rank: rank, id: id, viol: viol})
 		}
 	}
@@ -226,34 +243,23 @@ func (s *search) expand(w int, id int64, b *explore.Batch) bool {
 			cz = childSleep(ops, t, sleepZ|done)
 		}
 		done |= uint64(1) << t
-		savedTS, savedVal := ws.cur.Threads[t], mem[op.Loc]
+		savedTS := ws.cur.Threads[t]
 		ws.cur.Threads[t] = ws.nxt.Threads[t]
-		var ms *scm.State
-		if s.mon != nil {
-			ms = ws.nextMS
-			ms.CopyFrom(&ws.ms)
-			s.mon.Step(ms, lang.Tid(t), label)
-		} else {
-			mem.Step(label)
-		}
-		var perm []uint8
+		ms := s.successor(ws, &next, key, n, t, label)
+		succ := ws.key
 		if s.red != nil && s.red.symm() && !s.red.canonPerm(ws.cur, ms, ws.perm) {
 			if !revisit {
 				ws.sym++
 			}
-			perm = ws.perm
-			step.Perm = explore.PackPerm(perm)
-			cz = permuteMask(cz, perm)
+			step.Perm = explore.PackPerm(ws.perm)
+			cz = permuteMask(cz, ws.perm)
+			succ = s.permKey(ws, ms, ws.perm)
 		}
-		s.encode(ws, perm)
 		ws.cur.Threads[t] = savedTS
-		if s.mon == nil {
-			mem[op.Loc] = savedVal
-		}
 		if s.sleep {
-			b.AddSleep(ws.key, id, step, cz)
+			b.AddSleep(succ, id, step, cz)
 		} else {
-			b.Add(ws.key, id, step, 0)
+			b.Add(succ, id, step, 0)
 		}
 	}
 	return true

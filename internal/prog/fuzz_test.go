@@ -2,6 +2,7 @@ package prog_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/lang"
@@ -53,7 +54,8 @@ func buildState(p *prog.P, valCount int, data []byte) prog.State {
 // states: the raw encoding must round-trip exactly, and the canonical
 // (dead-register-zeroing) encoding must be a projection — stable under a
 // decode/re-encode cycle, never longer than the raw form, and identical
-// for the state it decodes to. Seeded with the initial states of the
+// for the state it decodes to — and EncodeThreadAt must rewrite exactly
+// one thread's block of it. Seeded with the initial states of the
 // Figure 7 corpus; `go test` runs seeds only, `go test -fuzz` explores.
 func FuzzEncodeStateRoundTrip(f *testing.F) {
 	progs := fuzzPrograms(f)
@@ -84,6 +86,19 @@ func FuzzEncodeStateRoundTrip(f *testing.F) {
 		}
 		if again := p.EncodeState(nil, dec2); !bytes.Equal(enc, again) {
 			t.Fatalf("canonical encoding not idempotent:\n  %x\n  %x", enc, again)
+		}
+
+		// Rewriting one thread's block of another state's encoding gives
+		// the encoding of that state with the thread swapped in.
+		base := p.InitStateRaw()
+		for i := range s.Threads {
+			got := p.EncodeState(nil, base)
+			p.EncodeThreadAt(got, i, s.Threads[i])
+			mixed := prog.State{Threads: slices.Clone(base.Threads)}
+			mixed.Threads[i] = s.Threads[i]
+			if want := p.EncodeState(nil, mixed); !bytes.Equal(got, want) {
+				t.Fatalf("EncodeThreadAt(%d):\n  %x\n  %x", i, got, want)
+			}
 		}
 	})
 }

@@ -8,6 +8,7 @@ package prog
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lang"
 )
@@ -77,26 +78,32 @@ type Thread struct {
 	seq  *lang.SeqProg
 	tid  lang.Tid
 	live []uint64 // per pc: registers live on entry (see liveness.go)
+	off  int      // offset of the thread's block in EncodeState's encoding
 }
 
 // P is an executable view of a concurrent program.
 type P struct {
 	Prog    *lang.Program
 	Threads []Thread
+	size    int // length of EncodeState's encoding
 }
 
 // New prepares a program for execution. The program must have been
 // validated.
 func New(prog *lang.Program) *P {
 	p := &P{Prog: prog}
+	off := 0
 	for i := range prog.Threads {
 		p.Threads = append(p.Threads, Thread{
 			prog: prog,
 			seq:  &prog.Threads[i],
 			tid:  lang.Tid(i),
 			live: liveSets(&prog.Threads[i]),
+			off:  off,
 		})
+		off += 2 + prog.Threads[i].NumRegs
 	}
+	p.size = off
 	return p
 }
 
@@ -553,18 +560,35 @@ func (p *P) AllTerminated(s State) bool {
 // registers, with registers that are dead at the pc canonicalized to zero
 // (bisimilar states then encode identically; see liveness.go).
 func (p *P) EncodeState(dst []byte, s State) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, p.size)[:n+p.size]
 	for i := range s.Threads {
-		ts := &s.Threads[i]
-		dst = append(dst, byte(ts.PC), byte(ts.PC>>8))
-		live := p.Threads[i].live[ts.PC]
-		for r, v := range ts.Regs {
-			if live&(1<<r) == 0 {
-				v = 0
-			}
-			dst = append(dst, byte(v))
-		}
+		p.EncodeThreadAt(dst[n:], i, s.Threads[i])
 	}
 	return dst
+}
+
+// EncodeThreadAt overwrites thread i's block of enc, an EncodeState
+// encoding, with the encoding of ts: the encoding of the state that has
+// ts for thread i and enc's threads elsewhere. Each thread's block has a
+// fixed offset and length, so a successor's encoding is its parent's with
+// the stepped thread's block rewritten.
+func (p *P) EncodeThreadAt(enc []byte, i int, ts ThreadState) {
+	p.Threads[i].encode(enc[p.Threads[i].off:], ts)
+}
+
+// encode writes the block of ts, a state of t, to the front of b: the pc
+// (2 bytes), then the registers, those dead at the pc as zero.
+func (t *Thread) encode(b []byte, ts ThreadState) {
+	b = b[:2+len(ts.Regs)]
+	b[0], b[1] = byte(ts.PC), byte(ts.PC>>8)
+	live := t.live[ts.PC]
+	for r, v := range ts.Regs {
+		if live&(1<<r) == 0 {
+			v = 0
+		}
+		b[2+r] = byte(v)
+	}
 }
 
 // EncodeStateRaw is EncodeState without the dead-register

@@ -133,16 +133,10 @@ func rawThreadBytes(buf []byte, t *lang.SeqProg) []byte {
 // only, so every slot receives a thread with the slot's register count and
 // liveness tables.
 func (p *P) EncodeStatePerm(dst []byte, s State, perm []uint8) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, p.size)[:n+p.size]
 	for i := range s.Threads {
-		ts := &s.Threads[perm[i]]
-		dst = append(dst, byte(ts.PC), byte(ts.PC>>8))
-		live := p.Threads[perm[i]].live[ts.PC]
-		for r, v := range ts.Regs {
-			if live&(1<<r) == 0 {
-				v = 0
-			}
-			dst = append(dst, byte(v))
-		}
+		p.Threads[perm[i]].encode(dst[n+p.Threads[i].off:], s.Threads[perm[i]])
 	}
 	return dst
 }

@@ -1,6 +1,8 @@
 package scm
 
 import (
+	"bytes"
+
 	"repro/internal/egraph"
 	"repro/internal/lang"
 )
@@ -55,7 +57,7 @@ func (mon *Monitor) FromGraph(g *egraph.Graph) *State {
 				set |= 1 << x
 			}
 		}
-		s.B[mon.oVSC+t] = set
+		store(mon.locs(s, mon.oVSC, t), set)
 	}
 	// MSC and WSC.
 	for x := 0; x < mon.L; x++ {
@@ -73,8 +75,8 @@ func (mon *Monitor) FromGraph(g *egraph.Graph) *State {
 				wsc |= 1 << y
 			}
 		}
-		s.B[mon.oMSC+x] = msc
-		s.B[mon.oWSC+x] = wsc
+		store(mon.locs(s, mon.oMSC, x), msc)
+		store(mon.locs(s, mon.oWSC, x), wsc)
 	}
 
 	// R = mo ; hb? as a predicate: moHB(w, e).
@@ -98,8 +100,7 @@ func (mon *Monitor) FromGraph(g *egraph.Graph) *State {
 				continue
 			}
 			val := g.Events[w].Lab.VW
-			vb := uint64(1) << val
-			crit := mon.Crit[x]&vb != 0
+			crit := mon.Crit[x]>>val&1 != 0
 			rmwOK := !inRRMW(w)
 			// Per thread: is w unobserved by τ?
 			for t := 0; t < mon.T; t++ {
@@ -113,15 +114,15 @@ func (mon *Monitor) FromGraph(g *egraph.Graph) *State {
 					continue
 				}
 				if crit {
-					s.B[mon.oV+t*mon.L+x] |= vb
+					setBit(s, mon.oV+(t*mon.L+x)*mon.vw, int(val))
 				} else {
-					s.B[mon.oCV+t] |= 1 << x
+					setBit(s, mon.oCV+t*mon.lw, x)
 				}
 				if rmwOK {
 					if crit {
-						s.B[mon.oVR+t*mon.L+x] |= vb
+						setBit(s, mon.oVR+(t*mon.L+x)*mon.vw, int(val))
 					} else {
-						s.B[mon.oCVR+t] |= 1 << x
+						setBit(s, mon.oCVR+t*mon.lw, x)
 					}
 				}
 			}
@@ -132,15 +133,15 @@ func (mon *Monitor) FromGraph(g *egraph.Graph) *State {
 					continue
 				}
 				if crit {
-					s.B[mon.oW+y*mon.L+x] |= vb
+					setBit(s, mon.oW+(y*mon.L+x)*mon.vw, int(val))
 				} else {
-					s.B[mon.oCW+y] |= 1 << x
+					setBit(s, mon.oCW+y*mon.lw, x)
 				}
 				if rmwOK {
 					if crit {
-						s.B[mon.oWR+y*mon.L+x] |= vb
+						setBit(s, mon.oWR+(y*mon.L+x)*mon.vw, int(val))
 					} else {
-						s.B[mon.oCWR+y] |= 1 << x
+						setBit(s, mon.oCWR+y*mon.lw, x)
 					}
 				}
 			}
@@ -150,16 +151,4 @@ func (mon *Monitor) FromGraph(g *egraph.Graph) *State {
 }
 
 // Equal reports whether two states are component-wise equal.
-func (s *State) Equal(o *State) bool {
-	for i := range s.M {
-		if s.M[i] != o.M[i] {
-			return false
-		}
-	}
-	for i := range s.B {
-		if s.B[i] != o.B[i] {
-			return false
-		}
-	}
-	return true
-}
+func (s *State) Equal(o *State) bool { return bytes.Equal(s.b, o.b) }

@@ -21,36 +21,65 @@ func TestStepMatchesGraphInterpretation(t *testing.T) {
 		T := 1 + rng.Intn(3)
 		L := 1 + rng.Intn(3)
 		V := 2 + rng.Intn(3)
-		crit := make([]uint64, L)
-		for x := range crit {
-			crit[x] = rng.Uint64() & (uint64(1)<<V - 1)
+		mon := scm.NewMonitor(T, L, V, randomCrit(rng, L, V), nil)
+		checkRunAgainstGraph(t, rng, iter, mon, 5+rng.Intn(15))
+	}
+}
+
+// TestStepMatchesGraphInterpretationWide is the same property on shapes
+// whose location or value words are wider than a byte, with runs long
+// enough to reach the locations and values past the first byte.
+func TestStepMatchesGraphInterpretationWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter, w := range wideShapes {
+		steps := 40
+		if w.L > 16 {
+			steps = 20 // I(G) costs O(|Loc|²·|E|²) per step
 		}
-		mon := scm.NewMonitor(T, L, V, crit, nil)
-		g := egraph.NewGraph(L, nil)
-		s := mon.Init()
-		if !s.Equal(mon.FromGraph(g)) {
-			t.Fatalf("iter %d: initial state mismatch", iter)
+		for rep := 0; rep < 3; rep++ {
+			mon := scm.NewMonitor(w.T, w.L, w.V, randomCrit(rng, w.L, w.V), nil)
+			checkRunAgainstGraph(t, rng, iter*3+rep, mon, steps)
 		}
-		steps := 5 + rng.Intn(15)
-		for i := 0; i < steps; i++ {
-			tid := rng.Intn(T)
-			x := lang.Loc(rng.Intn(L))
-			cur := g.Events[g.WMax(x)].Lab.VW
-			var l lang.Label
-			switch rng.Intn(3) {
-			case 0:
-				l = lang.WriteLab(x, lang.Val(rng.Intn(V)))
-			case 1:
-				l = lang.ReadLab(x, cur)
-			default:
-				l = lang.RMWLab(x, cur, lang.Val(rng.Intn(V)))
-			}
-			g.SCGStep(tid, l)
-			mon.Step(s, lang.Tid(tid), l)
-			if want := mon.FromGraph(g); !s.Equal(want) {
-				t.Fatalf("iter %d step %d (%s by τ%d): incremental state diverged from I(G)\ngraph:\n%s",
-					iter, i, l, tid, g)
-			}
+	}
+}
+
+// randomCrit returns random critical masks for L locations over V values.
+func randomCrit(rng *rand.Rand, L, V int) []uint64 {
+	crit := make([]uint64, L)
+	for x := range crit {
+		crit[x] = rng.Uint64() & (uint64(1)<<V - 1)
+	}
+	return crit
+}
+
+// checkRunAgainstGraph drives a random SCG run of the given length on mon
+// and checks the incremental state against I(G) after every step.
+func checkRunAgainstGraph(t *testing.T, rng *rand.Rand, iter int, mon *scm.Monitor, steps int) {
+	t.Helper()
+	T, L, V := mon.T, mon.L, mon.ValCount
+	g := egraph.NewGraph(L, nil)
+	s := mon.Init()
+	if !s.Equal(mon.FromGraph(g)) {
+		t.Fatalf("iter %d: initial state mismatch", iter)
+	}
+	for i := 0; i < steps; i++ {
+		tid := rng.Intn(T)
+		x := lang.Loc(rng.Intn(L))
+		cur := g.Events[g.WMax(x)].Lab.VW
+		var l lang.Label
+		switch rng.Intn(3) {
+		case 0:
+			l = lang.WriteLab(x, lang.Val(rng.Intn(V)))
+		case 1:
+			l = lang.ReadLab(x, cur)
+		default:
+			l = lang.RMWLab(x, cur, lang.Val(rng.Intn(V)))
+		}
+		g.SCGStep(tid, l)
+		mon.Step(s, lang.Tid(tid), l)
+		if want := mon.FromGraph(g); !s.Equal(want) {
+			t.Fatalf("iter %d step %d (%s by τ%d): incremental state diverged from I(G)\ngraph:\n%s",
+				iter, i, l, tid, g)
 		}
 	}
 }
