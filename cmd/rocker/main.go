@@ -318,7 +318,7 @@ func runVerify(args []string, stdout, stderr io.Writer) (status int) {
 		}
 	}
 	if *stats {
-		printStats(stdout, v.States, v.Elapsed)
+		printStats(stdout, v.States, v.StoreBytes, v.Elapsed)
 		if !*noReduce {
 			fmt.Fprintf(stdout, "  reduction: %d ample expansions, %d sleep-set skips, %d symmetry folds\n",
 				v.AmpleHits, v.SleepSkips, v.SymmetryFolds)
@@ -373,16 +373,18 @@ func verifyAll(fs *flag.FlagSet, stdout io.Writer, opts core.Options, timeout ti
 	return 0
 }
 
-// printStats reports exploration throughput and the runtime's memory
-// picture: states per second, current and peak heap occupancy, cumulative
-// allocation volume, and completed GC cycles. With the allocation-free hot
-// loop, states/sec should scale with workers while allocated-total and GC
-// cycles stay near-constant in the explored-state count.
-func printStats(w io.Writer, states int, elapsed time.Duration) {
+// printStats reports exploration throughput and the memory picture: states
+// per second, the visited store's peak footprint, current and peak heap
+// occupancy, cumulative allocation volume, and completed GC cycles. With
+// the allocation-free hot loop, states/sec should scale with workers while
+// allocated-total and GC cycles stay near-constant in the explored-state
+// count.
+func printStats(w io.Writer, states, storeBytes int, elapsed time.Duration) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rate := float64(states) / elapsed.Seconds()
-	fmt.Fprintf(w, "  stats: %.0f states/sec (%d states in %v)\n", rate, states, elapsed)
+	fmt.Fprintf(w, "  stats: %.0f states/sec (%d states in %v), store %.1f KiB peak\n",
+		rate, states, elapsed, float64(storeBytes)/(1<<10))
 	fmt.Fprintf(w, "  heap: %.1f MiB in use, %.1f MiB peak, %.1f MiB allocated total\n",
 		float64(ms.HeapInuse)/(1<<20), float64(ms.HeapSys-ms.HeapReleased)/(1<<20),
 		float64(ms.TotalAlloc)/(1<<20))

@@ -169,6 +169,11 @@ type Verdict struct {
 	States int
 	// Elapsed is the wall-clock verification time.
 	Elapsed time.Duration
+	// StoreBytes is the peak footprint of the visited store
+	// (explore.Sharded.Bytes): its tables, key arenas and trace links,
+	// with their growth slack. A store recycled from an earlier search
+	// counts the capacity it kept from it. 0 when nothing was explored.
+	StoreBytes int
 	// MetadataBits is the size of the SCM instrumentation per §5.1.
 	MetadataBits int
 	// Certificate reports that the Robust verdict was discharged by the
@@ -321,7 +326,7 @@ func Verify(program *lang.Program, opts Options) (*Verdict, error) {
 		if err != nil {
 			return nil, err
 		}
-		verdict.States = s.store.Len()
+		verdict.States, verdict.StoreBytes = s.store.Len(), s.store.Bytes()
 		verdict.AmpleHits, verdict.SleepSkips, verdict.SymmetryFolds = s.counters()
 		if s.found != nil {
 			trace, viol, fail := s.witness()
@@ -332,6 +337,7 @@ func Verify(program *lang.Program, opts Options) (*Verdict, error) {
 				verdict.Violations = []*scm.Violation{viol}
 			}
 		}
+		s.release()
 	}
 	if opts.Ctx != nil && opts.Ctx.Err() != nil {
 		return nil, canceled(opts.Ctx)

@@ -100,23 +100,33 @@ func newReducer(program *lang.Program, p *prog.P, mon *scm.Monitor) *reducer {
 func (r *reducer) symm() bool { return r.classes != nil }
 
 // ample picks one thread whose pending operation may stand in for the full
-// expansion of the current state, or -1 to require full expansion. mem is
-// the current SC memory (the monitor's M component, or the SC-only
-// explorer's memory); nxt is caller scratch for the trial step.
-func (r *reducer) ample(mem []lang.Val, cur, nxt prog.State, ops []prog.MemOp) int {
-	return r.ampleEx(mem, cur, nxt, ops, nil)
+// expansion of the current state, or -1 to require full expansion. labs
+// and en are the SC labels of the pending operations ops and whether each
+// is enabled (scLabels); nxt is caller scratch for the trial step. When
+// stepped is true, nxt.Threads[t] holds the chosen thread's successor; a
+// chosen thread whose trial step fails an assertion has none.
+func (r *reducer) ample(cur, nxt prog.State, ops []prog.MemOp, labs []lang.Label, en []bool) (t int, stepped bool) {
+	return r.ampleEx(cur, nxt, ops, labs, en, nil)
+}
+
+// scLabels sets labs[t] and en[t] to the SC label of thread t's pending
+// operation in ops at memory mem, and whether it is enabled (a
+// terminated thread's is not).
+func scLabels(ops []prog.MemOp, mem []lang.Val, valCount int, labs []lang.Label, en []bool) {
+	for t, op := range ops {
+		labs[t], en[t] = lang.Label{}, false
+		if op.Kind != prog.OpNone {
+			labs[t], en[t] = prog.SCLabel(op, mem[op.Loc], valCount)
+		}
+	}
 }
 
 // ampleEx is ample with an optional per-candidate narration hook (used by
 // ExplainReduce; nil on the hot path, costing only the guard).
-func (r *reducer) ampleEx(mem []lang.Val, cur, nxt prog.State, ops []prog.MemOp, note func(t int, msg string)) int {
+func (r *reducer) ampleEx(cur, nxt prog.State, ops []prog.MemOp, labs []lang.Label, en []bool, note func(t int, msg string)) (int, bool) {
 	enabled := 0
-	for t := range ops {
-		op := ops[t]
-		if op.Kind == prog.OpNone {
-			continue
-		}
-		if _, ok := prog.SCLabel(op, mem[op.Loc], r.vc); ok {
+	for _, ok := range en {
+		if ok {
 			enabled++
 		}
 	}
@@ -124,7 +134,7 @@ func (r *reducer) ampleEx(mem []lang.Val, cur, nxt prog.State, ops []prog.MemOp,
 		if note != nil {
 			note(-1, "fewer than two enabled threads: full expansion is already minimal")
 		}
-		return -1
+		return -1, false
 	}
 	for t := range ops {
 		op := ops[t]
@@ -144,8 +154,7 @@ func (r *reducer) ampleEx(mem []lang.Val, cur, nxt prog.State, ops []prog.MemOp,
 			}
 			continue
 		}
-		label, ok := prog.SCLabel(op, mem[op.Loc], r.vc)
-		if !ok {
+		if !en[t] {
 			if note != nil {
 				note(t, "blocked")
 			}
@@ -187,11 +196,11 @@ func (r *reducer) ampleEx(mem []lang.Val, cur, nxt prog.State, ops []prog.MemOp,
 		// strictly advance t's pc — then no cycle consists of ample steps
 		// only (the pc sum strictly increases along them), so every cycle
 		// contains a fully expanded state (C3).
-		if afail := r.p.Threads[t].ApplyInto(cur.Threads[t], label, &nxt.Threads[t]); afail != nil {
+		if afail := r.p.Threads[t].ApplyInto(cur.Threads[t], labs[t], &nxt.Threads[t]); afail != nil {
 			if note != nil {
 				note(t, "trial step fails an assertion; expanded alone to surface it")
 			}
-			return t
+			return t, false
 		}
 		if nxt.Threads[t].PC <= cur.Threads[t].PC {
 			if note != nil {
@@ -208,9 +217,9 @@ func (r *reducer) ampleEx(mem []lang.Val, cur, nxt prog.State, ops []prog.MemOp,
 			note(t, fmt.Sprintf("AMPLE: pending %s on %s — %s",
 				opKindName(op.Kind), r.prog.LocName(op.Loc), how))
 		}
-		return t
+		return t, true
 	}
-	return -1
+	return -1, false
 }
 
 // nonWriting reports that an operation kind never writes its location (so
@@ -367,9 +376,10 @@ func ExplainReduce(program *lang.Program) string {
 		nxt.Threads[i].Regs = make([]lang.Val, program.Threads[i].NumRegs)
 	}
 	ops := p.Ops(ps0)
-	mem := memsc.New(program.NumLocs())
+	labs, en := make([]lang.Label, len(ops)), make([]bool, len(ops))
+	scLabels(ops, memsc.New(program.NumLocs()), program.ValCount, labs, en)
 	b.WriteString("  ample-set decision at the initial state (sample):\n")
-	chosen := r.ampleEx(mem, ps0, nxt, ops, func(t int, msg string) {
+	chosen, _ := r.ampleEx(ps0, nxt, ops, labs, en, func(t int, msg string) {
 		if t < 0 {
 			fmt.Fprintf(&b, "    %s\n", msg)
 			return

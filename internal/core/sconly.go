@@ -49,6 +49,7 @@ func VerifySC(program *lang.Program, opts Options) (*SCVerdict, error) {
 		if s.found != nil {
 			_, _, verdict.AssertFail = s.witness()
 		}
+		s.release()
 	}
 	if opts.Ctx != nil && opts.Ctx.Err() != nil {
 		return nil, canceled(opts.Ctx)

@@ -48,13 +48,15 @@ type search struct {
 
 // worker is one worker's decode and expansion scratch: the current
 // program state and a successor for the clone-free ApplyInto kernel, the
-// pending operations, the plain SC memory (without a monitor), a
-// successor's key and its key under the symmetry permutation, the
-// permutation and the reduction counters. Steady-state expansion
-// allocates nothing.
+// pending operations with their SC labels, the plain SC memory (without
+// a monitor), a successor's key and its key under the symmetry
+// permutation, the permutation and the reduction counters. Steady-state
+// expansion allocates nothing.
 type worker struct {
 	cur, nxt          prog.State
 	ops               []prog.MemOp
+	labs              []lang.Label // the pending operations' SC labels
+	en                []bool       // and whether each is enabled
 	mem               memsc.Memory
 	key, pkey         []byte
 	perm              []uint8
@@ -84,9 +86,10 @@ func (f *finding) less(g *finding) bool {
 }
 
 // explore searches the states reachable from the program state ps0 with
-// the initial memory, and returns the finished search: ErrBound when a
-// level ends above Options.MaxStates, ErrCanceled when Options.Ctx is
-// cancelled before the search ends.
+// the initial memory, and returns the finished search, whose store the
+// caller releases (search.release): ErrBound when a level ends above
+// Options.MaxStates, ErrCanceled when Options.Ctx is cancelled before the
+// search ends, and then the store is released already.
 func (v *verifier) explore(ps0 prog.State, opts Options) (*search, error) {
 	s := &search{verifier: v, store: explore.NewSharded(opts.HashCompact)}
 	if opts.Reduce {
@@ -112,17 +115,28 @@ func (v *verifier) explore(ps0 prog.State, opts Options) (*search, error) {
 	// A cancelled run never reports a verdict, even if the search happened
 	// to end before a poll noticed: the caller asked for cancellation.
 	if opts.Ctx != nil && opts.Ctx.Err() != nil {
+		s.release()
 		return nil, canceled(opts.Ctx)
 	}
 	if !done {
-		return nil, fmt.Errorf("%w (%d states)", explore.ErrBound, s.store.Len())
+		err := fmt.Errorf("%w (%d states)", explore.ErrBound, s.store.Len())
+		s.release()
+		return nil, err
 	}
 	return s, nil
 }
 
+// release hands the search's store on for reuse (explore.Sharded.Release)
+// once its counts and witness are read; nothing the search reports
+// aliases it, as a finding keeps a copy of its key.
+func (s *search) release() {
+	s.store.Release()
+	s.store = nil
+}
+
 func (s *search) newWorker() *worker {
 	n := len(s.p.Threads)
-	ws := &worker{ops: make([]prog.MemOp, n), perm: make([]uint8, n)}
+	ws := &worker{ops: make([]prog.MemOp, n), labs: make([]lang.Label, n), en: make([]bool, n), perm: make([]uint8, n)}
 	ws.cur = prog.State{Threads: make([]prog.ThreadState, n)}
 	ws.nxt = prog.State{Threads: make([]prog.ThreadState, n)}
 	for i := range ws.cur.Threads {
@@ -205,9 +219,10 @@ func (s *search) expand(w int, id int64, b *explore.Batch) bool {
 			s.report(&finding{key: key, rank: rank, id: id, viol: viol})
 		}
 	}
-	ampleT := -1
+	scLabels(ops, mem, s.program.ValCount, ws.labs, ws.en)
+	ampleT, stepped := -1, false
 	if s.red != nil {
-		if ampleT = s.red.ample(mem, ws.cur, ws.nxt, ops); ampleT >= 0 && !revisit {
+		if ampleT, stepped = s.red.ample(ws.cur, ws.nxt, ops, ws.labs, ws.en); ampleT >= 0 && !revisit {
 			ws.ample++
 		}
 	}
@@ -229,14 +244,18 @@ func (s *search) expand(w int, id int64, b *explore.Batch) bool {
 			}
 			continue
 		}
-		label, enabled := prog.SCLabel(op, mem[op.Loc], s.program.ValCount)
-		if !enabled {
+		if !ws.en[t] {
 			continue // blocked wait/BCAS
 		}
+		label := ws.labs[t]
 		step := explore.Step{Tid: lang.Tid(t), Lab: label}
-		if fail := s.p.Threads[t].ApplyInto(ws.cur.Threads[t], label, &ws.nxt.Threads[t]); fail != nil {
-			s.report(&finding{key: key, rank: t, id: id, fail: fail, step: step})
-			continue
+		// The ample trial step left an ample thread's successor in
+		// ws.nxt, unless the step fails an assertion.
+		if t != ampleT || !stepped {
+			if fail := s.p.Threads[t].ApplyInto(ws.cur.Threads[t], label, &ws.nxt.Threads[t]); fail != nil {
+				s.report(&finding{key: key, rank: t, id: id, fail: fail, step: step})
+				continue
+			}
 		}
 		var cz uint64
 		if s.sleep {

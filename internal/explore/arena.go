@@ -87,6 +87,16 @@ func (a *arena) bytes(r keyRef) []byte {
 	return rec[w : w+n : w+n]
 }
 
+// size returns the capacity the arena holds: its blocks, those a reset
+// left for reuse included, and their headers.
+func (a *arena) size() int {
+	n := 24 * cap(a.blocks)
+	for _, b := range a.blocks[:cap(a.blocks)] {
+		n += cap(b)
+	}
+	return n
+}
+
 // reset empties the arena for reuse: its keys are dropped, and its blocks
 // are filled again by later interns.
 func (a *arena) reset() {

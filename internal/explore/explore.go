@@ -9,6 +9,14 @@
 // plays for the paper's Rocker prototype — exhaustive exploration of a
 // finite LTS with trace reporting — without Spin's Promela front end,
 // which this repository replaces with direct in-process state generation.
+//
+// The concurrent stores are recycled. A search that is done with an exact
+// Sharded store or a Set calls its Release exactly once, after which the
+// store and every slice its Key returned are invalid; a later NewSharded
+// or NewSet may hand the store out again, emptied. Most searches are
+// small, so this spares each one the allocation and zeroing of a
+// 64-shard store; a store that grew large is left to the garbage
+// collector instead.
 package explore
 
 import (

@@ -3,6 +3,7 @@ package explore
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Set is a concurrent set of byte keys: Sharded's exact mode without the
@@ -10,7 +11,8 @@ import (
 // checkers keep in it the visited set of their SC exploration, which
 // needs no traces, and their program-state projection sets — the
 // SC-reachable set, filled by one parallel exploration and probed by the
-// next, and the weak set beside it.
+// next, and the weak set beside it. Like Sharded, a Set lives from NewSet
+// to one Release, after which neither it nor a key it returned is read.
 type Set struct {
 	count  atomic.Int64
 	shards [numShards]setShard
@@ -21,14 +23,55 @@ type setShard struct {
 	keys keyTable
 }
 
-// NewSet returns an empty set.
+// NewSet returns an empty set: one a search Released, when one is at
+// hand, and otherwise a new one.
 func NewSet() *Set {
+	if s, ok := setPool.Get().(*Set); ok {
+		return s
+	}
+	return newSet()
+}
+
+// newSet returns a new empty set.
+func newSet() *Set {
 	s := &Set{}
 	sl := newSlab()
 	for i := range s.shards {
 		sl.carve(&s.shards[i].keys, i)
 	}
 	return s
+}
+
+// setPool holds the emptied sets that Release kept for reuse.
+var setPool sync.Pool
+
+// Release ends the set's life as Sharded.Release ends a store's: a set
+// whose footprint is within maxPooledBytes goes, emptied, to later NewSet
+// calls. The caller releases a set exactly once, when nothing reads it
+// any more: the slices Key returned are invalid from then on, and so is s.
+func (s *Set) Release() {
+	if s.bytes() > maxPooledBytes {
+		return
+	}
+	s.reset()
+	setPool.Put(s)
+}
+
+// bytes returns the set's footprint, as Sharded.Bytes does a store's.
+func (s *Set) bytes() int {
+	n := int(unsafe.Sizeof(*s))
+	for i := range s.shards {
+		n += s.shards[i].keys.bytes()
+	}
+	return n
+}
+
+// reset empties s in place, keeping the capacity its shards grew.
+func (s *Set) reset() {
+	s.count.Store(0)
+	for i := range s.shards {
+		s.shards[i].keys.reset()
+	}
 }
 
 // Add inserts key, returning its id and whether it was new. The key is

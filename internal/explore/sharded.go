@@ -3,6 +3,7 @@ package explore
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Sharded state ids pack (local index, shard) into an int64:
@@ -31,6 +32,10 @@ const (
 // keys only of the states RunLevels has yet to expand: those of the level
 // being expanded and of the one being committed. Its searches therefore
 // take roots on their first level only.
+//
+// A store lives from NewSharded to one Release (see the package doc):
+// an exact store that stayed small is then emptied and handed to a later
+// search, so nothing may read it, or a key it returned, after Release.
 type Sharded struct {
 	hashCompact bool
 	count       atomic.Int64
@@ -71,15 +76,24 @@ type levelKeys struct {
 // Store ids stay below 1<<37.
 const Revisit = int64(1) << 61
 
-// NewSharded returns an empty sharded store, exact or hash-compacted. The
-// exact shards start out in one slab (see slab), the hash-compacted ones
-// allocate their maps on first use, so setting up a store for a run that
-// touches few states is cheap.
+// NewSharded returns an empty sharded store, exact or hash-compacted. An
+// exact store is one a search Released, when one is at hand, and
+// otherwise a new one whose shards start out in one slab (see slab); the
+// hash-compacted shards allocate their maps on first use. So setting up a
+// store for a run that touches few states is cheap.
 func NewSharded(hashCompact bool) *Sharded {
-	s := &Sharded{hashCompact: hashCompact}
 	if hashCompact {
+		return &Sharded{hashCompact: true}
+	}
+	if s, ok := shardedPool.Get().(*Sharded); ok {
 		return s
 	}
+	return newSharded()
+}
+
+// newSharded returns a new empty exact store.
+func newSharded() *Sharded {
+	s := &Sharded{}
 	sl := newSlab()
 	parent := make([]int64, numShards*shardKeys)
 	step := make([]Step, numShards*shardKeys)
@@ -91,6 +105,67 @@ func NewSharded(hashCompact bool) *Sharded {
 	}
 	return s
 }
+
+// shardedPool holds the emptied exact stores that Release kept for reuse.
+var shardedPool sync.Pool
+
+// maxPooledBytes bounds the footprint (Sharded.Bytes) of a store that
+// Release keeps for reuse. A pooled store stays as large as the search
+// that grew it, so the bound keeps what the pool holds small: it admits
+// the stores of the small searches most verdicts are (a light Figure 7
+// row's verdict takes 75–190 KiB, seqlock's 4,042 states 780 KiB), and a
+// larger store goes to the garbage collector.
+const maxPooledBytes = 1 << 20
+
+// Release ends the store's life: it hands an exact store whose footprint
+// is within maxPooledBytes, emptied, to later NewSharded calls, and leaves
+// any other store to the garbage collector. The caller releases a store
+// exactly once, when the search is over and nothing reads it any more:
+// the slices Key returned are invalid from then on, and so is s.
+func (s *Sharded) Release() {
+	if s.hashCompact || s.Bytes() > maxPooledBytes {
+		return
+	}
+	s.reset()
+	shardedPool.Put(s)
+}
+
+// reset empties an exact store in place, keeping the capacity its shards
+// grew, so that it interns as a new store does: the same ids, keys, trace
+// links and sleep masks. (An exact store never sets lo, hashed, cur or
+// next.)
+func (s *Sharded) reset() {
+	s.count.Store(0)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.keys.reset()
+		sh.parent, sh.step, sh.sleep = sh.parent[:0], sh.step[:0], sh.sleep[:0]
+		clear(sh.shrunk)
+		sh.fresh = 0
+	}
+}
+
+// Bytes returns the store's footprint: the capacity of its slot tables,
+// key refs, key arenas and per-state columns, an estimate for the maps of
+// a hash-compacted store, and the store itself. A store never shrinks
+// while a search runs, so at its end this is the search's peak; a
+// recycled store counts the capacity an earlier search left it. Like Key,
+// it must not run concurrently with a write.
+func (s *Sharded) Bytes() int {
+	n := int(unsafe.Sizeof(*s))
+	for i := range s.shards {
+		sh := &s.shards[i]
+		n += sh.keys.bytes() + 8*cap(sh.parent) + int(unsafe.Sizeof(Step{}))*cap(sh.step) + 8*cap(sh.sleep)
+		n += hashedBytes*len(sh.hashed) + sh.cur.bytes() + sh.next.bytes()
+	}
+	return n
+}
+
+// hashedBytes estimates what a hash-compacted shard's map takes per
+// state: a 16-byte digest and a 4-byte local id, with the map's slack.
+const hashedBytes = 32
+
+func (lk *levelKeys) bytes() int { return 4*cap(lk.refs) + lk.arena.size() }
 
 // Add interns a state encoding, returning its id and whether it was new.
 // Parent and step are recorded for new states only; in a concurrent

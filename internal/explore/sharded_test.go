@@ -102,11 +102,11 @@ func TestShardedKeyTraceAcrossBlocks(t *testing.T) {
 }
 
 // TestShardedBytesPerState bounds the heap an exact Sharded store takes
-// per state: 1M distinct 32-byte keys, each interned once, and the live
-// heap after GC divided by the state count. The keys' bytes are 33 of it
-// (a one-byte length prefix each); the rest is the slot tables, key refs,
-// parent and step columns with their growth slack. The store measures
-// 80.5 B/state here.
+// per state: 1M distinct 32-byte keys, each interned once into a newly
+// built store, and the live heap after GC divided by the state count.
+// The keys' bytes are 33 of it (a one-byte length prefix each); the rest
+// is the slot tables, key refs, parent and step columns with their growth
+// slack. The store measures 80.5 B/state here.
 func TestShardedBytesPerState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("interns 1M states")
@@ -115,7 +115,7 @@ func TestShardedBytesPerState(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s := explore.NewSharded(false)
+	s := explore.NewFreshSharded()
 	key := make([]byte, 32)
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint64(key, uint64(i)*0x9e3779b97f4a7c15)

@@ -102,6 +102,22 @@ func (t *keyTable) has(key []byte, h uint32) bool {
 	}
 }
 
+// reset empties t for reuse, keeping its slot table, refs and arena
+// blocks: only a table that holds keys is cleared.
+func (t *keyTable) reset() {
+	if len(t.refs) != 0 {
+		clear(t.table)
+	}
+	t.refs = t.refs[:0]
+	t.arena.reset()
+}
+
+// bytes returns the capacity t holds: its slots, key refs and arena
+// blocks.
+func (t *keyTable) bytes() int {
+	return 8*len(t.table) + 4*cap(t.refs) + t.arena.size()
+}
+
 // key returns the interned key at index id; it aliases the arena.
 func (t *keyTable) key(id int32) []byte { return t.arena.bytes(t.refs[id]) }
 

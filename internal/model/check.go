@@ -75,8 +75,10 @@ import (
 // key, the raw program state followed by mm's encoding.
 func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (*staterobust.Result, error) {
 	quiet := mm.Quiescent() // non-nil: pass 1 runs and fills sc
-	sc := explore.NewSet()
-	if quiet == nil {
+	var sc *explore.Set
+	if quiet != nil {
+		sc = explore.NewSet()
+	} else {
 		var err error
 		if sc, err = staterobust.ReachableSC(program, lim); err != nil {
 			return nil, err
@@ -84,6 +86,10 @@ func CheckState(program *lang.Program, mm MemoryModel, lim staterobust.Limits) (
 	}
 	p := prog.New(program)
 	store := explore.NewSharded(false)
+	// Nothing the result holds aliases the store or sc: the witness
+	// projection is a copy, and the trace is rebuilt from the links.
+	defer store.Release()
+	defer sc.Release()
 	nT := len(p.Threads)
 	var (
 		classes [][]int    // the folded symmetry classes (nil: no folding)

@@ -209,6 +209,7 @@ func (pj *Projector) Key(key []byte) []byte {
 func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 	p := prog.New(program)
 	seen, reach := explore.NewSet(), explore.NewSet()
+	defer seen.Release()
 	type worker struct {
 		pj                *Projector
 		cur, key, nextMem []byte
@@ -274,9 +275,11 @@ func ReachableSC(program *lang.Program, lim Limits) (*explore.Set, error) {
 	commits := []explore.Commit{{Into: seen, On: project, Limit: lim.StateBound()}, {Into: reach}}
 	explore.RunLevels(len(ws), [][]int64{{root}}, expand, commits, nil, lim.RunOpts(seen.Len))
 	if err := lim.Err(); err != nil {
+		reach.Release()
 		return nil, err
 	}
 	if seen.Len() > lim.StateBound() {
+		reach.Release()
 		return nil, explore.ErrBound
 	}
 	return reach, nil
